@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench faults chaos-soak overload offload graph graph-check sanitize analyze examples check-all lint typecheck loc
+.PHONY: install test bench perf-check faults chaos-soak overload offload graph graph-check sanitize analyze examples check-all lint typecheck loc
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -33,6 +33,15 @@ typecheck:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
+
+perf-check:
+	@# bit-identity gate for hot-path work: the wall-clock harness's
+	@# self-tests, then one rep of each simulated workload; run.py exits
+	@# nonzero when a simulated result's signature differs from the one
+	@# pinned in benchmarks/perf/expected.json
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/perf/test_perf.py -q
+	$(PYTHON) benchmarks/perf/run.py \
+	    --only fig5-chain,bare-rpc,stateful-zipf,hotel-mesh --reps 1 --seed 1
 
 faults:
 	@# the seeded fault soak (small trial count) plus the end-to-end

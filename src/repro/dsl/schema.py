@@ -33,13 +33,7 @@ class FieldType(enum.Enum):
 
     @property
     def python_type(self) -> type:
-        return {
-            FieldType.STR: str,
-            FieldType.INT: int,
-            FieldType.FLOAT: float,
-            FieldType.BOOL: bool,
-            FieldType.BYTES: bytes,
-        }[self]
+        return _PYTHON_TYPES[self._value_]
 
     def accepts(self, value: object) -> bool:
         """True when a Python value is a valid instance of this type.
@@ -66,6 +60,17 @@ class FieldType(enum.Enum):
             FieldType.BOOL: (True, False),
             FieldType.BYTES: (b"\x00payload", b"x", b""),
         }[self]
+
+
+#: Python type of each field type, keyed by the member's value (a plain
+#: string hashes without the enum's Python-level ``__hash__``)
+_PYTHON_TYPES: Dict[str, type] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": bool,
+    "bytes": bytes,
+}
 
 
 #: Meta-fields every RPC tuple carries implicitly. Elements may read all of

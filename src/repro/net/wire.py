@@ -51,6 +51,11 @@ class AdnWireCodec:
     def __init__(self, layout: HeaderLayout):
         self.layout = layout
         self._by_id = {entry.field_id: entry for entry in layout.fields}
+        #: the variable-width fields: ``encoded_size`` adds their sizes
+        #: to the layout's ``fixed_bytes`` (every fixed id and value)
+        self._variable = tuple(
+            entry.name for entry in layout.fields if not entry.fixed
+        )
 
     def encode(self, fields: Dict[str, object]) -> bytes:
         """Encode a tuple. Missing fixed fields default to zero values;
@@ -104,4 +109,24 @@ class AdnWireCodec:
         return fields
 
     def encoded_size(self, fields: Dict[str, object]) -> int:
-        return len(self.encode(fields))
+        """``len(self.encode(fields))``, computed without building the
+        bytes: each variable field adds its id byte, its varint length
+        and its value's byte length under ``encode``'s rules."""
+        size = self.layout.fixed_bytes
+        for name in self._variable:
+            value = fields.get(name)
+            if value is None:
+                length = 0
+            elif isinstance(value, bytes):
+                length = len(value)
+            elif isinstance(value, str):
+                length = (
+                    len(value) if value.isascii()
+                    else len(value.encode("utf-8"))
+                )
+            else:
+                length = len(str(value).encode("utf-8"))
+            size += 1 + length + (
+                1 if length < 0x80 else (length.bit_length() + 6) // 7
+            )
+        return size

@@ -12,8 +12,8 @@ RPC path on the simulated cluster:
 Key fidelity points:
 
 * messages are *really* encoded with the hop's minimal header layout
-  (:class:`~repro.net.wire.AdnWireCodec`) — wire sizes are measured, not
-  assumed;
+  (:class:`~repro.net.wire.AdnWireCodec`), once per wire crossing — wire
+  sizes are the exact encoded sizes, not assumed;
 * elements *really* execute (drops, rewrites, state);
 * transport CPU is charged to whoever owns the wire on each side: the
   mRPC engine (default) or the RPC library itself ("proxyless", Figure 2
@@ -31,6 +31,8 @@ from ..compiler.headers import plan_hop_headers
 from ..dsl.functions import FunctionRegistry
 from ..dsl.schema import RpcSchema
 from ..errors import StaleEpochError
+from ..net.addresses import FlatId
+from ..net.l2 import L2Frame
 from ..net.tcp import wire_bytes_for_message
 from ..net.wire import AdnWireCodec
 from ..overload import DEADLINE_EXPIRED, DEADLINE_FIELD, OVERLOAD_ABORTS
@@ -393,7 +395,15 @@ class AdnMrpcStack:
         )
         self.response_hop_plan = response_plans[0]
         self._response_codec = AdnWireCodec(self.response_hop_plan.layout)
-        return AdnWireCodec(self.hop_plan.layout)
+        codec = AdnWireCodec(self.hop_plan.layout)
+        #: transport CPU per message on either side of the wire: it
+        #: depends only on the codec's field count, never on the bytes
+        self._codec_cpu_us = {
+            each: self.costs.mrpc_tcp_batched_us
+            + self.costs.header_codec_us(len(each.layout.fields))
+            for each in (codec, self._response_codec)
+        }
+        return codec
 
     def _attach_l2(self) -> None:
         """Attach both hosts' engines to the cluster's flat-identifier
@@ -403,18 +413,22 @@ class AdnMrpcStack:
         self._l2_inbox: Dict[str, List[bytes]] = {"client": [], "server": []}
         l2 = self.cluster.l2
         tag = f"#{self.l2_tag}" if self.l2_tag else ""
-        self._l2_names = {
+        names = {
             "client": f"{self.client_service}.0/engine{tag}",
             "server": f"{self.server_service}/engine{tag}",
         }
-        for side, name in self._l2_names.items():
-            if l2.resolve(name) is None:
-                l2.attach(
+        #: each side's flat id, resolved once instead of per frame
+        self._l2_ids: Dict[str, FlatId] = {}
+        for side, name in names.items():
+            flat_id = l2.resolve(name)
+            if flat_id is None:
+                flat_id = l2.attach(
                     name,
                     lambda frame, side=side: self._l2_inbox[side].append(
                         frame.payload
                     ),
                 )
+            self._l2_ids[side] = flat_id
 
     def _l2_transmit(
         self, from_side: str, payload: bytes
@@ -428,10 +442,11 @@ class AdnMrpcStack:
         )
         if not self.cluster.machine_up(to_machine):
             return None  # blackholed: nothing is listening
-        frame = self.cluster.l2.send(
-            self._l2_names[from_side], self._l2_names[to_side], payload
+        frame = L2Frame(
+            src=self._l2_ids[from_side], dst=self._l2_ids[to_side],
+            payload=payload,
         )
-        if frame is None:
+        if not self.cluster.l2.transmit(frame):
             return None
         return self._l2_inbox[to_side].pop()
 
@@ -442,20 +457,44 @@ class AdnMrpcStack:
 
     # -- helpers ------------------------------------------------------------
 
-    def _transport_cost(
-        self, side: str, message: Row
-    ) -> Tuple[float, float, int]:
-        """(cpu_us, extra_us, wire_bytes) for putting one message on the
-        wire from ``side`` (receive costs are symmetric)."""
+    def _transport_cpu_us(self, message: Row) -> float:
+        """Transport CPU for putting one message on the wire, or for
+        taking it off (receive costs are symmetric)."""
+        return self._codec_cpu_us[self._codec_for(message)]
+
+    def _send_hop(
+        self,
+        sender: Optional[Resource],
+        message: Row,
+        span: str,
+        trace: List[Tuple[str, float, float]],
+        deadline_at: Optional[float] = None,
+    ) -> Generator:
+        """Carry one message across the wire and return what the far
+        side receives: ``sender`` pays the transport CPU (nobody does on
+        a line-rate switch), the wire holds it for its arithmetic size,
+        and :meth:`_cross_wire` makes the one real encode and decode. A
+        frame that dies en route parks the attempt under ``span``."""
         codec = self._codec_for(message)
-        encoded = codec.encode(message)
-        wire = wire_bytes_for_message(len(encoded))
-        cpu = (
-            self.costs.mrpc_tcp_batched_us
-            + self.costs.header_codec_us(len(codec.layout.fields))
-        )
+        wire = wire_bytes_for_message(codec.encoded_size(message))
+        if sender is not None:
+            yield from sender.use(self._codec_cpu_us[codec] * US)
         extra = self.costs.mrpc_tcp_unbatched_extra_us
-        return cpu, extra, wire
+        if extra:
+            yield self.sim.timeout(extra * US)
+        hop_started = self.sim.now
+        self.wire_bytes_total += wire
+        # a latency-spike fault stretches every hop while it is active
+        extra_us = self.cluster.l2.conditions.extra_latency_us
+        yield self.sim.timeout(
+            (self.costs.wire_us(wire, 1) + extra_us) * US
+        )
+        received = self._cross_wire(message, deadline_at=deadline_at)
+        if received is None:
+            yield from self._lost(span)
+        if self.tracing:
+            trace.append((span, hop_started, self.sim.now))
+        return received
 
     def _cross_wire(
         self, message: Row, deadline_at: Optional[float] = None
@@ -512,17 +551,6 @@ class AdnMrpcStack:
             return None
         return self.sim.now + float(remaining_ms) * 1e-3
 
-    def _use(self, resource: Resource, cpu_us: float) -> Generator:
-        yield from resource.use(cpu_us * US)
-
-    def _wire_hop(self, size_bytes: int, hops: int = 1) -> Generator:
-        self.wire_bytes_total += size_bytes
-        # a latency-spike fault stretches every hop while it is active
-        extra_us = self.cluster.l2.conditions.extra_latency_us
-        yield self.sim.timeout(
-            (self.costs.wire_us(size_bytes, hops) + extra_us) * US
-        )
-
     def _lost(self, where: str) -> Generator:
         """This attempt just vanished (crashed host or dropped frame):
         park its process forever, like a real blackholed packet. Only a
@@ -566,13 +594,12 @@ class AdnMrpcStack:
             )
         mirrored = 0
         # client app issues into shared memory
-        yield from self._use(
-            self.client_app,
-            self.costs.client_issue_us + self.costs.mrpc_shm_post_us,
+        yield from self.client_app.use(
+            (self.costs.client_issue_us + self.costs.mrpc_shm_post_us) * US
         )
         # engine picks it up
-        yield from self._use(
-            self._transport["client"], self.costs.mrpc_dispatch_us
+        yield from self._transport["client"].use(
+            self.costs.mrpc_dispatch_us * US
         )
 
         trace: List[Tuple[str, float, float]] = []
@@ -586,24 +613,17 @@ class AdnMrpcStack:
                 not crossed_wire
             ):
                 # leave the client host
-                cpu, extra, wire = self._transport_cost("client", current)
-                yield from self._use(self._transport["client"], cpu)
-                if extra:
-                    yield self.sim.timeout(extra * US)
-                hop_started = self.sim.now
-                yield from self._wire_hop(wire, hops=1)
-                current = self._cross_wire(current, deadline_at=deadline_at)
-                if current is None:
-                    yield from self._lost("wire:forward")
+                current = yield from self._send_hop(
+                    self._transport["client"], current, "wire:forward",
+                    trace, deadline_at=deadline_at,
+                )
                 deadline_at = self._deadline_after_wire(current)
                 crossed_wire = True
-                if self.tracing:
-                    trace.append(("wire:forward", hop_started, self.sim.now))
             if not processor.live:
                 yield from self._lost(f"crash:{processor.segment.machine}")
             span_started = self.sim.now
-            result = yield self.sim.process(
-                processor.execute("request", current, deadline_at=deadline_at)
+            result = yield from processor.execute(
+                "request", current, deadline_at=deadline_at
             )
             if self.tracing:
                 trace.append(
@@ -624,19 +644,12 @@ class AdnMrpcStack:
 
         if dropped_by is None:
             if not crossed_wire:
-                cpu, extra, wire = self._transport_cost("client", current)
-                yield from self._use(self._transport["client"], cpu)
-                if extra:
-                    yield self.sim.timeout(extra * US)
-                hop_started = self.sim.now
-                yield from self._wire_hop(wire, hops=1)
-                current = self._cross_wire(current, deadline_at=deadline_at)
-                if current is None:
-                    yield from self._lost("wire:forward")
+                current = yield from self._send_hop(
+                    self._transport["client"], current, "wire:forward",
+                    trace, deadline_at=deadline_at,
+                )
                 deadline_at = self._deadline_after_wire(current)
                 crossed_wire = True
-                if self.tracing:
-                    trace.append(("wire:forward", hop_started, self.sim.now))
             if not self.cluster.machine_up(self.server_machine):
                 yield from self._lost(f"crash:{self.server_machine}")
             # server engine receives and hands to the app; a server-side
@@ -645,8 +658,8 @@ class AdnMrpcStack:
             # wakeup shrinks and the dispatch CPU lands on the NIC
             nic = self._nic_rx_processor
             if nic is not None and nic.resource is not None:
-                yield from self._use(
-                    nic.resource, self.costs.nic_rx_dispatch_us
+                yield from nic.resource.use(
+                    self.costs.nic_rx_dispatch_us * US
                 )
                 yield self.sim.timeout(
                     self.costs.nic_rx_wakeup_extra_us * US
@@ -655,8 +668,9 @@ class AdnMrpcStack:
                 yield self.sim.timeout(
                     self.costs.mrpc_rx_wakeup_extra_us * US
                 )
-            cpu, extra, _wire = self._transport_cost("server", current)
-            yield from self._use(self._transport["server"], cpu)
+            yield from self._transport["server"].use(
+                self._transport_cpu_us(current) * US
+            )
             if deadline_at is not None and self.sim.now > deadline_at:
                 # the propagated deadline expired in flight: the caller
                 # has already given up, so answer with a cheap abort
@@ -665,12 +679,12 @@ class AdnMrpcStack:
                 dropped_by = DEADLINE_EXPIRED
                 response = make_abort(current, dropped_by)
             else:
-                yield from self._use(
-                    self._transport["server"], self.costs.mrpc_shm_post_us
+                yield from self._transport["server"].use(
+                    self.costs.mrpc_shm_post_us * US
                 )
                 # decode exactly what the wire carried (fidelity check
                 # lives in tests: the server sees only header-plan fields)
-                yield from self._use(self.server_app, self.costs.app_logic_us)
+                yield from self.server_app.use(self.costs.app_logic_us * US)
                 # at-least-once bookkeeping: with a retry policy, attempts
                 # of one logical RPC share an rpc_id — a retry after the
                 # server already ran (response lost coming back) shows here
@@ -725,28 +739,15 @@ class AdnMrpcStack:
                 returned_wire
                 and processor.segment.machine == self.client_machine
             ):
-                cpu, extra, wire = self._transport_cost("server", response)
-                sender = self._return_wire_resource(
-                    dropped_by, dropping_processor
+                response = yield from self._send_hop(
+                    self._return_wire_resource(dropped_by, dropping_processor),
+                    response, "wire:return", trace,
                 )
-                if sender is not None:
-                    yield from self._use(sender, cpu)
-                if extra:
-                    yield self.sim.timeout(extra * US)
-                hop_started = self.sim.now
-                yield from self._wire_hop(wire, hops=1)
-                response = self._cross_wire(response)
-                if response is None:
-                    yield from self._lost("wire:return")
                 returned_wire = False
-                if self.tracing:
-                    trace.append(("wire:return", hop_started, self.sim.now))
             if not processor.live:
                 yield from self._lost(f"crash:{processor.segment.machine}")
             span_started = self.sim.now
-            result = yield self.sim.process(
-                processor.execute("response", response)
-            )
+            result = yield from processor.execute("response", response)
             if self.tracing:
                 trace.append(
                     (
@@ -759,33 +760,22 @@ class AdnMrpcStack:
             if result.outputs:
                 response = result.outputs[0]
         if returned_wire:
-            cpu, extra, wire = self._transport_cost("server", response)
-            sender = self._return_wire_resource(
-                dropped_by, dropping_processor
+            response = yield from self._send_hop(
+                self._return_wire_resource(dropped_by, dropping_processor),
+                response, "wire:return", trace,
             )
-            if sender is not None:
-                yield from self._use(sender, cpu)
-            if extra:
-                yield self.sim.timeout(extra * US)
-            hop_started = self.sim.now
-            yield from self._wire_hop(wire, hops=1)
-            response = self._cross_wire(response)
-            if response is None:
-                yield from self._lost("wire:return")
-            if self.tracing:
-                trace.append(("wire:return", hop_started, self.sim.now))
         if crossed_wire:
             # client engine receives the response off the wire
             yield self.sim.timeout(self.costs.mrpc_rx_wakeup_extra_us * US)
-            cpu, _extra, _wire = self._transport_cost("client", response)
-            yield from self._use(self._transport["client"], cpu)
+            yield from self._transport["client"].use(
+                self._transport_cpu_us(response) * US
+            )
         # client engine delivers to the app
-        yield from self._use(
-            self._transport["client"], self.costs.mrpc_dispatch_us
+        yield from self._transport["client"].use(
+            self.costs.mrpc_dispatch_us * US
         )
-        yield from self._use(
-            self.client_app,
-            self.costs.client_complete_us + self.costs.mrpc_shm_post_us,
+        yield from self.client_app.use(
+            (self.costs.client_complete_us + self.costs.mrpc_shm_post_us) * US
         )
         self.mirrored_total += mirrored
         outcome = RpcOutcome(

@@ -15,8 +15,9 @@ and converted at the call site via :data:`US`.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from functools import partial
+from heapq import heappop, heappush
 from typing import Callable, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -50,7 +51,8 @@ class Event:
             raise SimulationError("event already triggered")
         self.triggered = True
         self.value = value
-        self.sim._schedule_at(self.sim.now, self._fire)
+        sim = self.sim
+        heappush(sim._heap, (sim.now, next(sim._sequence), self._fire))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -59,7 +61,8 @@ class Event:
         self.triggered = True
         self.ok = False
         self.value = exception
-        self.sim._schedule_at(self.sim.now, self._fire)
+        sim = self.sim
+        heappush(sim._heap, (sim.now, next(sim._sequence), self._fire))
         return self
 
     def _fire(self) -> None:
@@ -89,36 +92,54 @@ class Timeout(Event):
         sim._schedule_at(sim.now + delay, self._fire)
 
 
+class _Start:
+    """What a process resumes from when it first runs: an ok ``None``."""
+
+    value = None
+    ok = True
+
+
+_START = _Start()
+
+
 class Process(Event):
     """A running generator; also an event that triggers when it returns."""
 
-    __slots__ = ("generator",)
+    __slots__ = ("generator", "_resume_callback")
 
     def __init__(self, sim: "Simulator", generator: Generator):
         super().__init__(sim)
         self.generator = generator
-        sim._schedule_at(sim.now, lambda: self._step(None, True))
+        # bound once: every event the process waits on gets this callback
+        self._resume_callback = self._resume
+        heappush(
+            sim._heap,
+            (sim.now, next(sim._sequence), partial(self._resume, _START)),
+        )
 
-    def _step(self, value: object, ok: bool) -> None:
+    def _resume(self, event: Event) -> None:
+        """Send the outcome of ``event`` into the generator and wait on
+        whatever it yields next."""
         try:
-            if ok:
-                target = self.generator.send(value)
+            if event.ok:
+                target = self.generator.send(event.value)
             else:
-                target = self.generator.throw(value)  # type: ignore[arg-type]
+                target = self.generator.throw(event.value)  # type: ignore[arg-type]
         except StopIteration as stop:
+            # drop the self-reference so that refcounting, not the cycle
+            # collector, frees the finished process
+            self._resume_callback = None
             if not self.triggered:
                 self.triggered = True
                 self.value = stop.value
-                self.sim._schedule_at(self.sim.now, self._fire)
+                sim = self.sim
+                heappush(sim._heap, (sim.now, next(sim._sequence), self._fire))
             return
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Events"
             )
-        target.add_callback(self._resume)
-
-    def _resume(self, event: Event) -> None:
-        self._step(event.value, event.ok)
+        target.add_callback(self._resume_callback)
 
 
 class AllOf(Event):
@@ -179,7 +200,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} (now is {self.now})"
             )
-        heapq.heappush(self._heap, (when, next(self._sequence), callback))
+        heappush(self._heap, (when, next(self._sequence), callback))
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -200,12 +221,18 @@ class Simulator:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or simulated time reaches ``until``."""
-        while self._heap:
-            when, _seq, callback = self._heap[0]
-            if until is not None and when > until:
+        heap = self._heap
+        if until is None:
+            while heap:
+                self.now, _seq, callback = heappop(heap)
+                callback()
+            return
+        while heap:
+            when, _seq, callback = heap[0]
+            if when > until:
                 self.now = until
                 return
-            heapq.heappop(self._heap)
+            heappop(heap)
             self.now = when
             callback()
         # when the heap drains before ``until``, time stays at the last

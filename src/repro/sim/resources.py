@@ -137,10 +137,16 @@ class Resource:
 
     def use(self, duration: float) -> Generator[Event, None, None]:
         """``yield from resource.use(t)`` — acquire, hold for ``t``,
-        release; accounts busy time."""
+        release; accounts busy time. A free slot is taken on the spot
+        (the same bookkeeping as ``request()``); only a caller that must
+        queue waits on a grant event."""
         if duration < 0:
             raise SimulationError(f"negative service time {duration}")
-        yield self.request()
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self._record_grant(0.0)
+        else:
+            yield self.request()
         try:
             if duration > 0:
                 yield self.sim.timeout(duration)

@@ -68,6 +68,35 @@ def _schema_and_values(names):
     return schema
 
 
+#: long enough that the varint length prefix takes two bytes
+LONG = 128
+
+
+def _wire_values(field_type):
+    """Values the ADN codec encodes for a field of ``field_type``: None,
+    values of the type itself and, for variable-width fields, non-ASCII
+    and long text and values it stringifies (numbers, booleans)."""
+    if field_type is FieldType.INT:
+        return st.none() | INT64
+    if field_type is FieldType.FLOAT:
+        return st.none() | st.floats()
+    if field_type is FieldType.BOOL:
+        return st.none() | st.booleans()
+    own = (
+        st.binary(max_size=200) | st.binary(min_size=LONG, max_size=300)
+        if field_type is FieldType.BYTES
+        else st.text(max_size=200) | st.text(min_size=LONG, max_size=300)
+    )
+    return (
+        st.none()
+        | own
+        | st.text(alphabet=st.characters(min_codepoint=0x80), min_size=1)
+        | st.integers()
+        | st.floats()
+        | st.booleans()
+    )
+
+
 class TestProtoCodec:
     @given(
         names=field_names,
@@ -121,6 +150,27 @@ class TestAdnWire:
                 FieldType.BYTES: blob,
             }[field_type]
         assert codec.decode(codec.encode(values)) == values
+
+    @given(names=field_names, data=st.data())
+    @settings(max_examples=150)
+    def test_encoded_size_is_encoded_length(self, names, data):
+        schema = _schema_and_values(names)
+        codec = AdnWireCodec(
+            build_layout(
+                {name: spec.type for name, spec in schema.fields.items()}
+            )
+        )
+        values = {
+            name: data.draw(_wire_values(spec.type), label=name)
+            for name, spec in schema.fields.items()
+        }
+        assert codec.encoded_size(values) == len(codec.encode(values))
+
+    def test_encoded_size_at_varint_boundaries(self):
+        codec = AdnWireCodec(build_layout({"blob": FieldType.BYTES}))
+        for length in (0, 127, 128, 16383, 16384):
+            value = {"blob": b"x" * length}
+            assert codec.encoded_size(value) == len(codec.encode(value))
 
     @given(names=field_names)
     @settings(max_examples=30)

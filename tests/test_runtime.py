@@ -568,6 +568,75 @@ class TestTracing:
         assert denied.aborted_by == "Acl"
         assert len(denied.notes["trace"]) < len(ok.notes["trace"])
 
+    def test_split_placement_spans_are_pinned(self):
+        """Span names and times of three concurrent RPCs (one denied on
+        the server host, one queued behind another) across a client and a
+        server processor. Processors run inside the RPC's own process;
+        these values are what the path produced when every visit was a
+        separate process, so the move must leave them bit-identical."""
+        reset_rpc_ids()
+        chain, registry = build_chain("Logging", "Acl", "Fault")
+        order = chain.element_order
+        plan = PlacementPlan(
+            segments=[
+                PlacementSegment(
+                    platform=Platform.MRPC,
+                    machine="client-host",
+                    elements=order[:1],
+                ),
+                PlacementSegment(
+                    platform=Platform.MRPC,
+                    machine="server-host",
+                    elements=order[1:],
+                ),
+            ]
+        )
+        sim = Simulator()
+        cluster = two_machine_cluster(sim)
+        stack = AdnMrpcStack(
+            sim, cluster, chain, SCHEMA, registry, plan=plan, tracing=True
+        )
+        processes = [
+            sim.process(stack.call(payload=b"x", username=user, obj_id=index))
+            for index, user in enumerate(["usr2", "usr1", "usr2"])
+        ]
+        sim.run()
+        got = [
+            (
+                process.value.aborted_by,
+                process.value.completed_at,
+                process.value.notes["trace"],
+            )
+            for process in processes
+        ]
+        client, server = "mrpc@client-host", "mrpc@server-host"
+        assert got == [
+            ("", 6.478780000000002e-05, [
+                (f"request:{client}", 4.2000000000000004e-06, 4.7540000000000006e-06),
+                ("wire:forward", 1.3154e-05, 1.82388e-05),
+                (f"request:{server}", 1.82388e-05, 1.90798e-05),
+                (f"response:{server}", 3.47748e-05, 3.5474799999999994e-05),
+                ("wire:return", 4.3874799999999995e-05, 4.896039999999999e-05),
+                (f"response:{client}", 4.896039999999999e-05, 5.0133800000000004e-05),
+            ]),
+            ("Acl", 5.4333800000000005e-05, [
+                (f"request:{client}", 8.854e-06, 9.408e-06),
+                ("wire:forward", 1.9007999999999998e-05, 2.4092799999999997e-05),
+                (f"request:{server}", 2.4092799999999997e-05, 2.49338e-05),
+                (f"response:{server}", 2.49338e-05, 2.56338e-05),
+                ("wire:return", 3.40338e-05, 3.91258e-05),
+                (f"response:{client}", 3.91258e-05, 3.96798e-05),
+            ]),
+            ("", 7.468780000000001e-05, [
+                (f"request:{client}", 1.0608e-05, 1.4062e-05),
+                ("wire:forward", 2.2462000000000003e-05, 2.7546800000000002e-05),
+                (f"request:{server}", 2.7546800000000002e-05, 3.22748e-05),
+                (f"response:{server}", 4.46748e-05, 4.53748e-05),
+                ("wire:return", 5.37748e-05, 5.8860399999999996e-05),
+                (f"response:{client}", 5.8860399999999996e-05, 6.058780000000001e-05),
+            ]),
+        ]
+
     def test_tracing_off_by_default(self):
         reset_rpc_ids()
         chain, registry = build_chain("Acl")

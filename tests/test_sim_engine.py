@@ -12,6 +12,7 @@ from repro.sim import (
     Simulator,
     Store,
 )
+from repro.sim.engine import Timeout
 
 
 class TestEventsAndTime:
@@ -68,6 +69,96 @@ class TestEventsAndTime:
         event.succeed(1)
         with pytest.raises(SimulationError):
             event.succeed(2)
+
+
+class TestTieOrder:
+    """The kernel's contract at one simulated instant: callbacks fire in
+    the order they were scheduled, and taking a free resource slot
+    schedules nothing. Every simulated result depends on this order."""
+
+    def test_same_instant_firing_order(self):
+        sim = Simulator()
+        log = []
+        busy = Resource(sim, capacity=1, name="busy")
+        free = Resource(sim, capacity=1, name="free")
+
+        def note(tag):
+            assert sim.now == 1.0  # everything below shares one instant
+            log.append(tag)
+
+        def holder():
+            yield from busy.use(1.0)  # uncontended: no grant event
+            note("holder released")
+
+        def contender():
+            yield from busy.use(0.0)  # queued at t=0, granted at t=1
+            note("contended use done")
+
+        def waiter(tag, event):
+            value = yield event
+            note(f"{tag} got {value!r}")
+
+        def child(tag):
+            note(f"{tag} started")
+            yield sim.timeout(0)
+            note(f"{tag} finishing")
+            return tag
+
+        def main():
+            yield sim.timeout(1.0)
+            note("main woke")
+            fired = sim.event()
+            fired.succeed("early")
+            sim.process(waiter("pending", fired))
+            yield sim.timeout(0)
+            note("timeout(0) resumed")
+            sim.process(waiter("all", sim.all_of([fired, sim.timeout(0, "z")])))
+            sim.process(waiter("any", sim.any_of([fired, sim.event()])))
+            spawned = sim.process(child("child"))
+            yield from free.use(0.0)
+            note("uncontended use done")
+            result = yield spawned
+            note(f"joined {result}")
+
+        sim.process(holder())
+        sim.process(contender())
+        sim.process(main())
+        sim.run()
+        assert log == [
+            # the holder's hold was scheduled at t=0 before main's
+            # timeout: its free slot was taken without a grant event
+            "holder released",
+            "main woke",
+            # release scheduled the queued contender's grant
+            "contended use done",
+            "timeout(0) resumed",
+            # a free slot at the same instant: no suspension at all
+            "uncontended use done",
+            # waiting on an already-fired event takes one more turn
+            "pending got 'early'",
+            "child started",
+            "all got ['early', 'z']",
+            "any got 'early'",
+            "child finishing",
+            "joined child",
+        ]
+
+    def test_only_a_queued_use_waits_for_a_grant(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        first = resource.use(1.0)
+        # the free slot is taken on the spot: the first wait is the hold
+        assert isinstance(next(first), Timeout)
+        assert (resource.in_use, resource.grants) == (1, 1)
+        second = resource.use(1.0)
+        grant = next(second)
+        assert not isinstance(grant, Timeout) and not grant.triggered
+        assert resource.queue_length == 1
+        # a zero-length use of a free slot never suspends its caller
+        idle = Resource(sim, capacity=1)
+        with pytest.raises(StopIteration):
+            next(idle.use(0.0))
+        assert (idle.in_use, idle.grants, idle.served) == (0, 1, 1)
 
 
 class TestProcesses:
