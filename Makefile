@@ -136,4 +136,8 @@ examples:
 check-all: test bench examples
 
 loc:
-	@find src tests benchmarks examples -name '*.py' | xargs wc -l | tail -1
+	@# one line per tree, so a change's net src/ LOC reads off directly
+	@for dir in src tests benchmarks examples; do \
+	    printf '%-11s %7d\n' $$dir \
+	        "$$(find $$dir -name '*.py' -exec cat {} + | wc -l)"; \
+	done

@@ -133,8 +133,8 @@ def test_overload_is_answered_by_shedding_not_collapse(mesh):
     holds — and high-priority traffic is shed last."""
     stressed = mesh["3x+crash"]
     assert stressed.sheds() > 100
-    high = stressed.workload.goodput_ratio(priority=1)
-    low = stressed.workload.goodput_ratio(priority=0)
+    high = stressed.metrics.goodput_ratio(priority=1)
+    low = stressed.metrics.goodput_ratio(priority=0)
     assert high > low + 0.15, (
         f"high-priority ok-ratio {high:.1%} vs low {low:.1%} — admission "
         "is not prioritizing"

@@ -50,9 +50,7 @@ def run_open_loop(system: str, rate_rps: float):
             server_filters=[irs["Acl"]],
             registry=registry,
         )
-    client = OpenLoopClient(
-        sim, stack.call, rate_rps=rate_rps, duration_s=DURATION_S
-    )
+    client = OpenLoopClient(sim, stack.call, [(rate_rps, DURATION_S)])
     return client.run(drain_s=0.2)
 
 

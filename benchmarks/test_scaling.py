@@ -12,7 +12,7 @@ from repro.control.scaling import Autoscaler, AutoscalerConfig
 from repro.dsl.ast_nodes import ColumnDef, StateDecl
 from repro.dsl.schema import FieldType
 from repro.runtime.message import RpcOutcome
-from repro.sim import Resource, Simulator, SteppedLoadClient
+from repro.sim import OpenLoopClient, Resource, Simulator
 from repro.state.table import StateTable
 
 from bench_harness import bench_assert, print_table
@@ -67,7 +67,7 @@ def run_scaling(autoscale: bool):
         )
         total = sum(duration for _rate, duration in PHASES)
         sim.process(autoscaler.run(total))
-    client = SteppedLoadClient(sim, call, phases=PHASES)
+    client = OpenLoopClient(sim, call, PHASES)
     metrics = client.run()
     return metrics, client, autoscaler, engine
 

@@ -14,7 +14,7 @@ from repro.control.scaling import Autoscaler, AutoscalerConfig
 from repro.dsl.ast_nodes import ColumnDef, StateDecl
 from repro.dsl.schema import FieldType
 from repro.runtime.message import RpcOutcome
-from repro.sim import Resource, Simulator, SteppedLoadClient
+from repro.sim import OpenLoopClient, Resource, Simulator
 from repro.state.table import StateTable
 
 SERVICE_US = 100.0
@@ -70,7 +70,7 @@ def run(autoscale: bool):
             stateful_tables=[sessions],
         )
         sim.process(autoscaler.run(sum(d for _r, d in PHASES)))
-    client = SteppedLoadClient(sim, call, phases=PHASES)
+    client = OpenLoopClient(sim, call, PHASES)
     metrics = client.run()
     return metrics, client, autoscaler, engine, sessions
 

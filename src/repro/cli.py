@@ -62,10 +62,18 @@ def _schema_from_args(fields: Optional[List[str]]) -> RpcSchema:
     return schema
 
 
+def _read(path: str) -> str:
+    """An input file's text; a missing or unreadable file is a user
+    error (a one-line diagnostic), not a traceback."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as error:
+        raise AdnError(f"cannot read {path}: {error.strerror}") from error
+
+
 def _load(path: str, schema: RpcSchema, include_stdlib: bool = True):
-    with open(path) as handle:
-        source = handle.read()
-    program = parse(source)
+    program = parse(_read(path))
     if include_stdlib:
         program = load_stdlib().merged(program)
     return validate_program(program, schema=schema)
@@ -146,12 +154,12 @@ def _typecheck_diagnostics(args, schema):
     over the file (and optionally the stdlib); returns (diagnostics,
     failed) where ``failed`` honours ``--fail-on`` identically for the
     text and json output paths."""
-    from .lint import LintOptions, Severity, lint_file, lint_source
+    from .lint import LintOptions, Severity, lint_source
 
     options = LintOptions(
         schema=schema, include_stdlib=not args.no_stdlib
     )
-    results = [lint_file(args.file, options)]
+    results = [lint_source(_read(args.file), path=args.file, options=options)]
     if args.stdlib:
         from .dsl.stdlib import STDLIB_SOURCES
 
@@ -177,7 +185,7 @@ def cmd_check(args) -> int:
     schema = _schema_from_args(args.field)
     try:
         program = _load(args.file, schema, include_stdlib=not args.no_stdlib)
-        own = parse(open(args.file).read())
+        own = parse(_read(args.file))
     except AdnError as error:
         if args.format == "json":
             print(json.dumps({
@@ -261,7 +269,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from .lint import LintOptions, Severity, lint_file, lint_source
+    from .lint import LintOptions, Severity, lint_source
 
     if args.explain:
         from .lint.explain import explain_rule
@@ -295,7 +303,7 @@ def cmd_lint(args) -> int:
     threshold = Severity.from_name(args.fail_on)
     results = []
     for path in args.files:
-        results.append(lint_file(path, options))
+        results.append(lint_source(_read(path), path=path, options=options))
     if args.stdlib:
         from .dsl.stdlib import STDLIB_SOURCES
 
@@ -335,7 +343,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    program = parse(open(args.file).read())
+    program = parse(_read(args.file))
     text = print_program(program)
     if args.in_place:
         with open(args.file, "w") as handle:
@@ -349,7 +357,7 @@ def cmd_fmt(args) -> int:
 def cmd_compile(args) -> int:
     schema = _schema_from_args(args.field)
     program = _load(args.file, schema)
-    own = parse(open(args.file).read())
+    own = parse(_read(args.file))
     if args.explain or args.verify:
         return _explain(program, own, schema, verify=args.verify)
     compiler = AdnCompiler(registry=FunctionRegistry())
@@ -436,7 +444,7 @@ def _explain(program, own, schema, verify: bool = False) -> int:
 def cmd_plan(args) -> int:
     schema = _schema_from_args(args.field)
     program = _load(args.file, schema)
-    own = parse(open(args.file).read())
+    own = parse(_read(args.file))
     apps = list(own.apps)
     if not apps:
         print("no app definition in the file", file=sys.stderr)

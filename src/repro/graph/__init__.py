@@ -13,8 +13,9 @@ each RPC edge carrying its own chain. This package is that layer:
 * :mod:`.runtime` — :class:`GraphRuntime`: one ADN hop per edge,
   composed so deadline budgets and priorities propagate through
   fan-out and failures surface with their class intact;
-* :mod:`.workload` — :class:`MeshWorkload`: open-loop diurnal Poisson
-  arrivals, Zipf-skewed users (millions, O(1) per draw), priority mix;
+* :mod:`.workload` — :class:`MeshWorkload`: the shared open-loop
+  driver with a diurnal rate, Zipf-skewed users (millions, O(1) per
+  draw) and a priority mix;
 * :mod:`.scenario` — bookinfo and a 12-service hotel mesh, plus
   :func:`run_graph_scenario` wiring workload + faults + overload
   control end to end.

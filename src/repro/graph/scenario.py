@@ -250,11 +250,11 @@ class GraphScenarioResult:
 
     @property
     def goodput_rps(self) -> float:
-        return self.workload.goodput_rps()
+        return self.metrics.goodput_rps
 
     @property
     def goodput_ratio(self) -> float:
-        return self.workload.goodput_ratio()
+        return self.metrics.goodput_ratio()
 
     def breaker_opens(self) -> Dict[str, int]:
         """Edges whose client-side breaker opened at least once."""

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Dict, Optional
 
-from ..runtime.message import RpcOutcome
 from ..sim.engine import Simulator
 from ..sim.metrics import RunMetrics
+from ..sim.workload import OpenLoopClient
 from .runtime import GraphRuntime
 
 
@@ -80,14 +80,13 @@ class MeshWorkloadConfig:
     seed: int = 1
 
 
-class MeshWorkload:
-    """Open-loop driver for a :class:`~repro.graph.runtime.GraphRuntime`
+class MeshWorkload(OpenLoopClient):
+    """The open-loop driver for a :class:`~repro.graph.runtime.GraphRuntime`
     (or any call function) with diurnal Poisson arrivals and Zipf users.
 
     The diurnal rate is ``base * (1 + amp * sin(2*pi*t/period))``,
-    realized by thinning: candidate arrivals at the peak rate, each
-    accepted with probability ``rate(t)/peak``. Thinning preserves the
-    Poisson property exactly — no time-discretization artifacts.
+    realized by thinning one peak-rate phase (see
+    :class:`~repro.sim.workload.OpenLoopClient`).
     """
 
     def __init__(
@@ -98,15 +97,19 @@ class MeshWorkload:
     ):
         if isinstance(call, GraphRuntime):
             call = call.entry_call
-        self.sim = sim
-        self.call = call
         self.config = config or MeshWorkloadConfig()
-        self.rng = random.Random(self.config.seed)
         self.zipf = ZipfSampler(self.config.users, self.config.zipf_s)
-        self.metrics = RunMetrics()
-        #: goodput accounting by priority tier
-        self.ok_by_priority: Dict[int, int] = {}
-        self.issued_by_priority: Dict[int, int] = {}
+        peak = self.config.base_rps * (
+            1.0 + max(0.0, self.config.diurnal_amplitude)
+        )
+        super().__init__(
+            sim,
+            call,
+            [(peak, self.config.duration_s)],
+            seed=self.config.seed,
+            fields_fn=self.fields_for,
+            rate_fn=self._rate,
+        )
 
     def _rate(self, t: float) -> float:
         config = self.config
@@ -117,69 +120,16 @@ class MeshWorkload:
             1.0 + config.diurnal_amplitude * math.sin(phase)
         )
 
-    def fields_for(self, index: int) -> Dict[str, object]:
+    def fields_for(self, rng: random.Random, index: int) -> Dict[str, object]:
         """One arrival's application fields: Zipf-skewed user identity
         (hot keys), a small payload, and the priority tier."""
-        high = self.rng.random() < self.config.priority_high_ratio
+        high = rng.random() < self.config.priority_high_ratio
         return {
             "payload": b"x" * 64,
-            "username": f"user{self.zipf.sample(self.rng)}",
-            "obj_id": self.rng.randrange(1 << 16),
+            "username": f"user{self.zipf.sample(rng)}",
+            "obj_id": rng.randrange(1 << 16),
             "priority": self.config.high_priority if high else 0,
         }
 
     def run(self, drain_s: float = 0.5) -> RunMetrics:
-        self.sim.process(self._arrivals())
-        self.sim.run(until=self.sim.now + self.config.duration_s + drain_s)
-        self.metrics.elapsed_s = self.config.duration_s
-        return self.metrics
-
-    def _arrivals(self) -> Generator:
-        config = self.config
-        peak = config.base_rps * (1.0 + max(0.0, config.diurnal_amplitude))
-        started = self.sim.now
-        index = 0
-        while self.sim.now - started < config.duration_s:
-            yield self.sim.timeout(self.rng.expovariate(peak))
-            # thinning: accept this candidate with rate(t)/peak
-            t = self.sim.now - started
-            if self.rng.random() * peak > self._rate(t):
-                continue
-            index += 1
-            fields = self.fields_for(index)
-            self.metrics.issued += 1
-            priority = int(fields.get("priority", 0))
-            self.issued_by_priority[priority] = (
-                self.issued_by_priority.get(priority, 0) + 1
-            )
-            self.sim.process(self._one(fields, priority))
-
-    def _one(self, fields: Dict[str, object], priority: int) -> Generator:
-        outcome: RpcOutcome = yield self.sim.process(self.call(**fields))
-        self.metrics.completed += 1
-        self.metrics.latency.record(outcome.latency_s)
-        if outcome.ok:
-            self.ok_by_priority[priority] = (
-                self.ok_by_priority.get(priority, 0) + 1
-            )
-        else:
-            self.metrics.aborted += 1
-
-    # -- derived -------------------------------------------------------------
-
-    def goodput_rps(self) -> float:
-        if self.metrics.elapsed_s <= 0:
-            return 0.0
-        ok = self.metrics.completed - self.metrics.aborted
-        return ok / self.metrics.elapsed_s
-
-    def goodput_ratio(self, priority: Optional[int] = None) -> float:
-        """Fraction of issued requests answered ok (optionally for one
-        priority tier)."""
-        if priority is None:
-            issued = self.metrics.issued
-            ok = self.metrics.completed - self.metrics.aborted
-        else:
-            issued = self.issued_by_priority.get(priority, 0)
-            ok = self.ok_by_priority.get(priority, 0)
-        return ok / issued if issued else 0.0
+        return super().run(drain_s)

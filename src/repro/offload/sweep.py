@@ -36,6 +36,7 @@ from ..graph.model import GraphBuilder
 from ..graph.placement import MachineSpec, solve_graph_placement
 from ..graph.runtime import GraphRuntime, build_graph_cluster
 from ..overload.admission import AdmissionConfig
+from ..overload.sweep import drive_sweep_point
 from ..platforms import Platform
 from ..runtime.message import reset_rpc_ids
 from ..runtime.processor import PlacementPlan, PlacementSegment
@@ -199,6 +200,16 @@ def build_offload_mesh(
     )
 
 
+def _sweep_fields(rng: random.Random, index: int) -> Dict[str, object]:
+    # usr2 holds write permission in the stdlib Acl table: the
+    # interesting drops are sheds, not denials
+    return {
+        "payload": b"x" * 64,
+        "username": "usr2",
+        "obj_id": rng.randrange(1 << 12),
+    }
+
+
 def run_offload_point(
     multiplier: float,
     shed_at: str,
@@ -210,50 +221,14 @@ def run_offload_point(
     sim = Simulator()
     runtime = build_offload_mesh(sim, shed_at, config)
     offered_rps = multiplier * config.capacity_rps
-    rng = random.Random(config.seed)
-
     point = OffloadPoint(
         shed_at=shed_at,
         multiplier=multiplier,
         offered_rps=offered_rps,
+        **drive_sweep_point(
+            sim, runtime.entry_call, offered_rps, config, _sweep_fields
+        ),
     )
-    ok_latencies: List[float] = []
-
-    def one(fields: Dict[str, object]):
-        outcome = yield sim.process(runtime.entry_call(**fields))
-        if outcome.ok:
-            point.ok += 1
-            ok_latencies.append(outcome.completed_at - outcome.issued_at)
-        else:
-            point.aborted += 1
-            reason = outcome.aborted_by or "unknown"
-            point.aborted_by[reason] = point.aborted_by.get(reason, 0) + 1
-
-    def arrivals():
-        started = sim.now
-        while sim.now - started < config.duration_s:
-            yield sim.timeout(rng.expovariate(offered_rps))
-            point.issued += 1
-            sim.process(
-                one(
-                    {
-                        # usr2 holds write permission in the stdlib Acl
-                        # table: the interesting drops are sheds, not
-                        # denials
-                        "payload": b"x" * 64,
-                        "username": "usr2",
-                        "obj_id": rng.randrange(1 << 12),
-                    }
-                )
-            )
-
-    sim.process(arrivals())
-    sim.run(until=sim.now + config.duration_s + config.drain_s)
-
-    point.goodput_rps = point.ok / config.duration_s
-    if ok_latencies:
-        ok_latencies.sort()
-        point.p50_ok_ms = ok_latencies[len(ok_latencies) // 2] * 1e3
 
     cluster = runtime.cluster
     for stack in runtime.stacks.values():

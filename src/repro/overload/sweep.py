@@ -38,6 +38,7 @@ from ..runtime.processor import PlacementPlan, PlacementSegment
 from ..sim.cluster import two_machine_cluster
 from ..sim.costmodel import CostModel
 from ..sim.engine import Simulator
+from ..sim.workload import OpenLoopClient
 from .admission import AdmissionConfig
 from .budget import CircuitBreakerPolicy, RetryBudgetConfig
 
@@ -180,6 +181,39 @@ def build_sweep_stack(
     )
 
 
+def _sweep_fields(rng: random.Random, index: int) -> Dict[str, object]:
+    return {
+        "payload": b"x" * 64,
+        "username": f"user{rng.randrange(8)}",
+        "obj_id": rng.randrange(1 << 12),
+    }
+
+
+def drive_sweep_point(
+    sim: Simulator, call, offered_rps: float, config, fields_fn
+) -> Dict[str, object]:
+    """Drive ``call`` open-loop at ``offered_rps`` with the config's
+    seed, duration and drain; returns the outcome fields every sweep
+    point shares. ``p50_ok_ms`` is the upper median of the ok latencies
+    (the pinned sweep numbers use it)."""
+    metrics = OpenLoopClient(
+        sim,
+        call,
+        [(offered_rps, config.duration_s)],
+        seed=config.seed,
+        fields_fn=fields_fn,
+    ).run(drain_s=config.drain_s)
+    ok = sorted(metrics.ok_latency.samples)
+    return {
+        "issued": metrics.issued,
+        "ok": metrics.ok,
+        "aborted": metrics.aborted,
+        "goodput_rps": metrics.ok / config.duration_s,
+        "p50_ok_ms": ok[len(ok) // 2] * 1e3 if ok else 0.0,
+        "aborted_by": dict(metrics.aborted_by),
+    }
+
+
 def run_overload_point(
     multiplier: float,
     protected: bool,
@@ -191,64 +225,23 @@ def run_overload_point(
     sim = Simulator()
     stack = build_sweep_stack(sim, protected, config)
     offered_rps = multiplier * config.capacity_rps
-    rng = random.Random(config.seed)
-
-    point = SweepPoint(
+    outcome = drive_sweep_point(
+        sim, stack.call, offered_rps, config, _sweep_fields
+    )
+    retries = stack.retry_stats
+    return SweepPoint(
         protected=protected,
         multiplier=multiplier,
         offered_rps=offered_rps,
-        issued=0,
-        ok=0,
-        aborted=0,
-        goodput_rps=0.0,
-        p50_ok_ms=0.0,
-        amplification=0.0,
+        amplification=retries.amplification() if retries is not None else 0.0,
+        sheds=sum(p.rpcs_shed for p in stack.processors),
+        queue_rejects=sum(p.rpcs_queue_rejected for p in stack.processors),
+        deadline_drops=(
+            sum(p.rpcs_deadline_expired for p in stack.processors)
+            + stack.deadline_expired_at_server
+        ),
+        **outcome,
     )
-    ok_latencies: List[float] = []
-
-    def one(fields: Dict[str, object]):
-        outcome = yield sim.process(stack.call(**fields))
-        if outcome.ok:
-            point.ok += 1
-            ok_latencies.append(outcome.latency_s)
-        else:
-            point.aborted += 1
-            reason = outcome.aborted_by or "unknown"
-            point.aborted_by[reason] = point.aborted_by.get(reason, 0) + 1
-
-    def arrivals():
-        started = sim.now
-        while sim.now - started < config.duration_s:
-            yield sim.timeout(rng.expovariate(offered_rps))
-            point.issued += 1
-            sim.process(
-                one(
-                    {
-                        "payload": b"x" * 64,
-                        "username": f"user{rng.randrange(8)}",
-                        "obj_id": rng.randrange(1 << 12),
-                    }
-                )
-            )
-
-    sim.process(arrivals())
-    sim.run(until=sim.now + config.duration_s + config.drain_s)
-
-    point.goodput_rps = point.ok / config.duration_s
-    if ok_latencies:
-        ok_latencies.sort()
-        point.p50_ok_ms = ok_latencies[len(ok_latencies) // 2] * 1e3
-    if stack.retry_stats is not None:
-        point.amplification = stack.retry_stats.amplification()
-    point.sheds = sum(p.rpcs_shed for p in stack.processors)
-    point.queue_rejects = sum(
-        p.rpcs_queue_rejected for p in stack.processors
-    )
-    point.deadline_drops = (
-        sum(p.rpcs_deadline_expired for p in stack.processors)
-        + stack.deadline_expired_at_server
-    )
-    return point
 
 
 def run_overload_sweep(

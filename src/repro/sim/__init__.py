@@ -6,7 +6,7 @@ from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .engine import MS, US, AllOf, AnyOf, Event, Process, Simulator, Timeout
 from .metrics import LatencySeries, RunMetrics
 from .resources import Resource, ResourceGroup, Store
-from .workload import ClosedLoopClient, OpenLoopClient, SteppedLoadClient
+from .workload import ClosedLoopClient, OpenLoopClient
 
 __all__ = [
     "AllOf",
@@ -25,7 +25,6 @@ __all__ = [
     "ResourceGroup",
     "RunMetrics",
     "Simulator",
-    "SteppedLoadClient",
     "Store",
     "Switch",
     "Timeout",

@@ -2,14 +2,16 @@
 
 The paper's evaluation uses a closed-loop client: one thread keeping 128
 concurrent RPCs in flight, short byte-string request/response (§6). The
-closed-loop generator reproduces that; an open-loop (Poisson) generator
-is provided for latency-vs-load sweeps and the autoscaling experiment.
+closed-loop generator reproduces that; the open-loop (Poisson) generator
+drives latency-vs-load sweeps, stepped load for the autoscaling
+experiment, and the diurnal mesh workload. Both fill one outcome record,
+:class:`~repro.sim.metrics.RunMetrics`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..runtime.message import RpcOutcome
 from .engine import Simulator
@@ -18,6 +20,8 @@ from .metrics import RunMetrics
 #: An RPC path: a generator function taking per-call app fields and
 #: yielding simulation events, returning an RpcOutcome.
 CallFn = Callable[..., Generator]
+#: Draws one RPC's app fields from the workload's RNG, given its index.
+FieldsFn = Callable[[random.Random, int], Dict[str, object]]
 
 
 def _default_fields(rng: random.Random, index: int) -> Dict[str, object]:
@@ -28,6 +32,10 @@ def _default_fields(rng: random.Random, index: int) -> Dict[str, object]:
         "username": "usr2" if rng.random() < 0.9 else "usr1",
         "obj_id": rng.randrange(1 << 16),
     }
+
+
+def _priority(fields: Dict[str, object]) -> int:
+    return int(fields.get("priority", 0))
 
 
 class ClosedLoopClient:
@@ -41,7 +49,7 @@ class ClosedLoopClient:
         concurrency: int = 128,
         total_rpcs: int = 2000,
         seed: int = 1,
-        fields_fn: Optional[Callable[[random.Random, int], Dict[str, object]]] = None,
+        fields_fn: Optional[FieldsFn] = None,
         warmup_rpcs: int = 0,
         think_s: float = 0.0,
     ):
@@ -71,9 +79,10 @@ class ClosedLoopClient:
         self.sim.run_until_complete(
             self.sim.process(self._await(done)), limit=limit_s
         )
-        if self._started_at is not None:
-            self.metrics.elapsed_s = self.sim.now - self._started_at
-        return self.metrics
+        started = self._started_at
+        return self.metrics.finish(
+            self.sim.now - started if started is not None else 0.0
+        )
 
     def _await(self, event) -> Generator:
         yield event
@@ -86,109 +95,78 @@ class ClosedLoopClient:
             if not warmup and self._started_at is None:
                 self._started_at = self.sim.now
             fields = self.fields_fn(self.rng, index)
-            self.metrics.issued += 1
+            priority = _priority(fields)
+            self.metrics.issue(priority)
             outcome: RpcOutcome = yield self.sim.process(self.call(**fields))
             if warmup:
+                self.metrics.warmup += 1
                 continue
-            # an aborted RPC still completes from the client's view (the
-            # network answered it); it is counted in the rate and also
-            # tallied as aborted
-            self.metrics.completed += 1
-            self.metrics.latency.record(outcome.latency_s)
-            if not outcome.ok:
-                self.metrics.aborted += 1
+            self.metrics.record(outcome, priority)
             if self.think_s > 0:
                 yield self.sim.timeout(self.think_s)
 
 
 class OpenLoopClient:
-    """Poisson arrivals at ``rate_rps``; unbounded concurrency."""
+    """Open-loop Poisson arrivals through ``(rate_rps, duration_s)``
+    phases, with unbounded concurrency. One phase is plain Poisson load;
+    several step the load (the autoscaling experiment's spike), and
+    ``per_phase`` holds one outcome record per phase.
+
+    ``rate_fn(t)`` thins the arrivals into a nonhomogeneous Poisson
+    process: candidates arrive at the phase rate, which must bound
+    ``rate_fn``, and each is kept with probability ``rate_fn(t) / rate``,
+    ``t`` being seconds since the run started. Thinning preserves the
+    Poisson property exactly, with no time-discretization artifacts.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         call: CallFn,
-        rate_rps: float,
-        duration_s: float,
+        phases: Sequence[Tuple[float, float]],
         seed: int = 1,
-        fields_fn: Optional[Callable[[random.Random, int], Dict[str, object]]] = None,
-    ):
-        self.sim = sim
-        self.call = call
-        self.rate_rps = rate_rps
-        self.duration_s = duration_s
-        self.rng = random.Random(seed)
-        self.fields_fn = fields_fn or _default_fields
-        self.metrics = RunMetrics()
-
-    def run(self, drain_s: float = 1.0) -> RunMetrics:
-        self.sim.process(self._arrivals())
-        self.sim.run(until=self.sim.now + self.duration_s + drain_s)
-        self.metrics.elapsed_s = self.duration_s
-        return self.metrics
-
-    def _arrivals(self) -> Generator:
-        index = 0
-        started = self.sim.now
-        while self.sim.now - started < self.duration_s:
-            yield self.sim.timeout(self.rng.expovariate(self.rate_rps))
-            index += 1
-            fields = self.fields_fn(self.rng, index)
-            self.metrics.issued += 1
-            self.sim.process(self._one(fields))
-
-    def _one(self, fields: Dict[str, object]) -> Generator:
-        outcome: RpcOutcome = yield self.sim.process(self.call(**fields))
-        self.metrics.completed += 1
-        if not outcome.ok:
-            self.metrics.aborted += 1
-        self.metrics.latency.record(outcome.latency_s)
-
-
-class SteppedLoadClient:
-    """Open-loop load that steps through (rate, duration) phases — the
-    autoscaling experiment's workload spike."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        call: CallFn,
-        phases,
-        seed: int = 1,
+        fields_fn: Optional[FieldsFn] = None,
+        rate_fn: Optional[Callable[[float], float]] = None,
     ):
         self.sim = sim
         self.call = call
         self.phases = list(phases)
         self.rng = random.Random(seed)
+        self.fields_fn = fields_fn or _default_fields
+        self.rate_fn = rate_fn
         self.metrics = RunMetrics()
-        self.per_phase: list = []
+        self.per_phase: List[RunMetrics] = [RunMetrics() for _ in self.phases]
 
     def run(self, drain_s: float = 1.0) -> RunMetrics:
         total = sum(duration for _rate, duration in self.phases)
         self.sim.process(self._arrivals())
         self.sim.run(until=self.sim.now + total + drain_s)
-        self.metrics.elapsed_s = total
-        return self.metrics
+        for (_rate, duration), phase in zip(self.phases, self.per_phase):
+            phase.finish(duration)
+        return self.metrics.finish(total)
 
     def _arrivals(self) -> Generator:
+        sim, rng = self.sim, self.rng
+        begin = sim.now
         index = 0
-        for rate, duration in self.phases:
-            phase_metrics = RunMetrics()
-            phase_metrics.elapsed_s = duration
-            self.per_phase.append(phase_metrics)
-            started = self.sim.now
-            while self.sim.now - started < duration:
-                yield self.sim.timeout(self.rng.expovariate(rate))
+        for (rate, duration), phase in zip(self.phases, self.per_phase):
+            started = sim.now
+            while sim.now - started < duration:
+                yield sim.timeout(rng.expovariate(rate))
+                if self.rate_fn is not None and (
+                    rng.random() * rate > self.rate_fn(sim.now - begin)
+                ):
+                    continue
                 index += 1
-                fields = _default_fields(self.rng, index)
-                self.metrics.issued += 1
-                phase_metrics.issued += 1
-                self.sim.process(self._one(fields, phase_metrics))
+                fields = self.fields_fn(rng, index)
+                priority = _priority(fields)
+                self.metrics.issue(priority)
+                phase.issue(priority)
+                sim.process(self._one(fields, priority, phase))
 
-    def _one(self, fields, phase_metrics) -> Generator:
+    def _one(
+        self, fields: Dict[str, object], priority: int, phase: RunMetrics
+    ) -> Generator:
         outcome: RpcOutcome = yield self.sim.process(self.call(**fields))
-        for metrics in (self.metrics, phase_metrics):
-            metrics.completed += 1
-            if not outcome.ok:
-                metrics.aborted += 1
-            metrics.latency.record(outcome.latency_s)
+        self.metrics.record(outcome, priority)
+        phase.record(outcome, priority)

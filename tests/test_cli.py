@@ -30,6 +30,15 @@ def dsl_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["check", "fmt", "compile", "plan", "lint"])
+def test_missing_input_file_is_a_diagnostic(command, tmp_path, capsys):
+    path = str(tmp_path / "nonexistent.adn")
+    assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read {path}: " in err
+    assert "Traceback" not in err
+
+
 class TestCheck:
     def test_valid_file(self, dsl_file, capsys):
         assert main(["check", dsl_file]) == 0

@@ -8,8 +8,8 @@ from repro.sim import (
     ClosedLoopClient,
     CostModel,
     OpenLoopClient,
+    RunMetrics,
     Simulator,
-    SteppedLoadClient,
     two_machine_cluster,
 )
 from repro.platforms import Platform
@@ -101,8 +101,10 @@ class TestCostModel:
         assert costs.platform_element_factor[Platform.SWITCH_P4] == 0.0
 
 
-def _fixed_call_factory(sim, service_s):
+def _fixed_call_factory(sim, service_s, seen=None, aborted_by=""):
     def call(**fields):
+        if seen is not None:
+            seen.append(dict(fields))
         issued = sim.now
         yield sim.timeout(service_s)
         return RpcOutcome(
@@ -110,6 +112,7 @@ def _fixed_call_factory(sim, service_s):
             response=dict(fields),
             issued_at=issued,
             completed_at=sim.now,
+            aborted_by=aborted_by,
         )
 
     return call
@@ -173,18 +176,126 @@ class TestOpenLoop:
     def test_rate_approximates_target(self):
         sim = Simulator()
         client = OpenLoopClient(
-            sim, _fixed_call_factory(sim, 1e-5), rate_rps=5000, duration_s=1.0
+            sim, _fixed_call_factory(sim, 1e-5), [(5000, 1.0)]
         )
         metrics = client.run()
         assert 4000 < metrics.completed < 6000
 
     def test_stepped_load_phases(self):
         sim = Simulator()
-        client = SteppedLoadClient(
-            sim,
-            _fixed_call_factory(sim, 1e-5),
-            phases=[(1000, 0.5), (4000, 0.5)],
+        client = OpenLoopClient(
+            sim, _fixed_call_factory(sim, 1e-5), [(1000, 0.5), (4000, 0.5)]
         )
         client.run()
         low, high = client.per_phase
         assert high.issued > low.issued * 2
+
+    def test_fields_fn_reaches_every_phase(self):
+        sim = Simulator()
+        seen = []
+
+        def fields(rng, index):
+            return {"payload": b"p", "tag": "custom", "index": index}
+
+        client = OpenLoopClient(
+            sim,
+            _fixed_call_factory(sim, 1e-5, seen=seen),
+            [(2000, 0.05), (4000, 0.05)],
+            fields_fn=fields,
+        )
+        client.run()
+        assert all(phase.issued > 0 for phase in client.per_phase)
+        assert len(seen) == client.metrics.issued
+        assert all(call["tag"] == "custom" for call in seen)
+        indices = [call["index"] for call in seen]
+        assert indices == list(range(1, len(seen) + 1))
+
+    def test_thinning_keeps_a_fraction_of_candidates(self):
+        sim = Simulator()
+        client = OpenLoopClient(
+            sim,
+            _fixed_call_factory(sim, 1e-5),
+            [(4000, 0.5)],
+            rate_fn=lambda t: 1000.0,
+        )
+        metrics = client.run()
+        assert 350 < metrics.issued < 650
+
+
+class TestOutcomeRecord:
+    def test_drained_open_loop_ends_with_nothing_in_flight(self):
+        sim = Simulator()
+        client = OpenLoopClient(
+            sim, _fixed_call_factory(sim, 1e-4), [(2000, 0.1), (4000, 0.1)]
+        )
+        metrics = client.run(drain_s=0.1)
+        assert metrics.in_flight == 0
+        aborted = sum(metrics.aborted_by.values())
+        assert metrics.ok + aborted == metrics.completed == metrics.issued
+        for phase in client.per_phase:
+            assert phase.in_flight == 0
+
+    def test_zero_drain_leaves_rpcs_in_flight(self):
+        sim = Simulator()
+        client = OpenLoopClient(
+            sim, _fixed_call_factory(sim, 0.05), [(2000, 0.1)]
+        )
+        metrics = client.run(drain_s=0.0)
+        assert metrics.in_flight > 0
+        aborted = sum(metrics.aborted_by.values())
+        assert metrics.ok + aborted == metrics.completed < metrics.issued
+        assert metrics.completed + metrics.in_flight == metrics.issued
+
+    def test_closed_loop_warmup_is_not_in_flight(self):
+        sim = Simulator()
+        client = ClosedLoopClient(
+            sim,
+            _fixed_call_factory(sim, 1e-4),
+            concurrency=2,
+            total_rpcs=50,
+            warmup_rpcs=10,
+        )
+        metrics = client.run()
+        assert metrics.warmup == 10
+        assert metrics.in_flight == 0
+
+    def test_aborts_tallied_by_element(self):
+        sim = Simulator()
+        client = ClosedLoopClient(
+            sim,
+            _fixed_call_factory(sim, 1e-4, aborted_by="Acl"),
+            concurrency=2,
+            total_rpcs=20,
+        )
+        metrics = client.run()
+        assert metrics.aborted == 20 and metrics.ok == 0
+        assert metrics.aborted_by == {"Acl": 20}
+        assert len(metrics.ok_latency) == 0
+        assert metrics.issued_by_priority == {0: 20}
+        assert metrics.goodput_ratio() == 0.0
+
+    def test_priority_tallies_follow_the_fields(self):
+        sim = Simulator()
+
+        def fields(rng, index):
+            return {"payload": b"p", "priority": index % 2}
+
+        client = ClosedLoopClient(
+            sim,
+            _fixed_call_factory(sim, 1e-4),
+            concurrency=2,
+            total_rpcs=20,
+            fields_fn=fields,
+        )
+        metrics = client.run()
+        assert metrics.issued_by_priority == {0: 10, 1: 10}
+        assert metrics.ok_by_priority == {0: 10, 1: 10}
+        assert metrics.goodput_ratio(priority=1) == 1.0
+
+    def test_broken_record_is_rejected(self):
+        metrics = RunMetrics(issued=1, completed=1)
+        with pytest.raises(AssertionError):
+            metrics.finish(1.0)
+        metrics = RunMetrics(issued=1, completed=2, ok=2)
+        with pytest.raises(AssertionError):
+            metrics.finish(1.0)

@@ -253,10 +253,10 @@ class TestMeshWorkload:
         metrics = workload.run(drain_s=0.2)
         assert metrics.issued > 50
         assert metrics.completed == metrics.issued  # open loop drains
-        assert workload.goodput_ratio() == 1.0
+        assert metrics.goodput_ratio() == 1.0
         # both priority tiers were issued and accounted separately
-        assert set(workload.issued_by_priority) == {0, 1}
-        assert workload.goodput_ratio(priority=1) == 1.0
+        assert set(metrics.issued_by_priority) == {0, 1}
+        assert metrics.goodput_ratio(priority=1) == 1.0
 
     def test_diurnal_amplitude_zero_is_flat_poisson(self):
         sim, runtime = build_runtime(bookinfo_graph())
