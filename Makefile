@@ -35,13 +35,15 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
 
 perf-check:
-	@# bit-identity gate for hot-path work: the wall-clock harness's
-	@# self-tests, then one rep of each simulated workload; run.py exits
-	@# nonzero when a simulated result's signature differs from the one
+	@# bit-identity gate for hot-path and front-end work: the wall-clock
+	@# harness's self-tests, then one rep of each simulated and toolchain
+	@# workload; run.py exits nonzero when a result's signature (simulated
+	@# metrics, or lint/check/compile/graph output) differs from the one
 	@# pinned in benchmarks/perf/expected.json
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/perf/test_perf.py -q
 	$(PYTHON) benchmarks/perf/run.py \
-	    --only fig5-chain,bare-rpc,stateful-zipf,hotel-mesh --reps 1 --seed 1
+	    --only fig5-chain,bare-rpc,stateful-zipf,hotel-mesh,lint,typecheck,compile-verify,graph-check \
+	    --reps 1 --seed 1
 
 faults:
 	@# the seeded fault soak (small trial count) plus the end-to-end

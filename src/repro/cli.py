@@ -73,10 +73,26 @@ def _read(path: str) -> str:
 
 
 def _load(path: str, schema: RpcSchema, include_stdlib: bool = True):
-    program = parse(_read(path))
-    if include_stdlib:
-        program = load_stdlib().merged(program)
-    return validate_program(program, schema=schema)
+    """Read and parse ``path`` once: (its text, its own definitions,
+    those definitions validated over the stdlib)."""
+    source = _read(path)
+    own = parse(source)
+    program = load_stdlib().merged(own) if include_stdlib else own
+    return source, own, validate_program(program, schema=schema)
+
+
+def _lint_run(items, options, stdlib: bool):
+    """One lint run over ``items`` and, with ``stdlib``, every stdlib
+    entry after them (as ``<stdlib:NAME>``, in name order)."""
+    from .dsl.stdlib import STDLIB_SOURCES
+    from .lint import lint_sources
+
+    if stdlib:
+        items = items + [
+            (f"<stdlib:{name}>", STDLIB_SOURCES[name])
+            for name in sorted(STDLIB_SOURCES)
+        ]
+    return lint_sources(items, options)
 
 
 def _write_bench_json(path, benchmark, seed, config, results) -> None:
@@ -149,28 +165,18 @@ def _graph_spec_diagnostics(args, program, schema, spec: str):
     return diagnostics, _fails(diagnostics, threshold)
 
 
-def _typecheck_diagnostics(args, schema):
+def _typecheck_diagnostics(args, schema, source, own):
     """Run the ADN5xx abstract-interpretation rules for ``check --types``
-    over the file (and optionally the stdlib); returns (diagnostics,
-    failed) where ``failed`` honours ``--fail-on`` identically for the
-    text and json output paths."""
-    from .lint import LintOptions, Severity, lint_source
+    over the file (already read and parsed: ``source``, ``own``) and
+    optionally the stdlib; returns (diagnostics, failed) where
+    ``failed`` honours ``--fail-on`` identically for the text and json
+    output paths."""
+    from .lint import LintOptions, Severity
 
     options = LintOptions(
         schema=schema, include_stdlib=not args.no_stdlib
     )
-    results = [lint_source(_read(args.file), path=args.file, options=options)]
-    if args.stdlib:
-        from .dsl.stdlib import STDLIB_SOURCES
-
-        for name in sorted(STDLIB_SOURCES):
-            results.append(
-                lint_source(
-                    STDLIB_SOURCES[name],
-                    path=f"<stdlib:{name}>",
-                    options=options,
-                )
-            )
+    results = _lint_run([(args.file, source, own)], options, args.stdlib)
     diagnostics = [
         diagnostic
         for result in results
@@ -184,8 +190,9 @@ def _typecheck_diagnostics(args, schema):
 def cmd_check(args) -> int:
     schema = _schema_from_args(args.field)
     try:
-        program = _load(args.file, schema, include_stdlib=not args.no_stdlib)
-        own = parse(_read(args.file))
+        source, own, program = _load(
+            args.file, schema, include_stdlib=not args.no_stdlib
+        )
     except AdnError as error:
         if args.format == "json":
             print(json.dumps({
@@ -201,7 +208,9 @@ def cmd_check(args) -> int:
             print(f"{args.file}: error: {error}", file=sys.stderr)
         return 1
     diagnostics, types_failed = (
-        _typecheck_diagnostics(args, schema) if args.types else ([], False)
+        _typecheck_diagnostics(args, schema, source, own)
+        if args.types
+        else ([], False)
     )
     graph_diags, graph_failed = (
         _graph_spec_diagnostics(args, program, schema, args.graph)
@@ -269,7 +278,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from .lint import LintOptions, Severity, lint_source
+    from .lint import LintOptions, Severity
 
     if args.explain:
         from .lint.explain import explain_rule
@@ -301,20 +310,9 @@ def cmd_lint(args) -> int:
         cluster=cluster,
     )
     threshold = Severity.from_name(args.fail_on)
-    results = []
-    for path in args.files:
-        results.append(lint_source(_read(path), path=path, options=options))
-    if args.stdlib:
-        from .dsl.stdlib import STDLIB_SOURCES
-
-        for name in sorted(STDLIB_SOURCES):
-            results.append(
-                lint_source(
-                    STDLIB_SOURCES[name],
-                    path=f"<stdlib:{name}>",
-                    options=options,
-                )
-            )
+    results = _lint_run(
+        [(path, _read(path)) for path in args.files], options, args.stdlib
+    )
     failed = False
     total = 0
     if args.format == "json":
@@ -356,8 +354,7 @@ def cmd_fmt(args) -> int:
 
 def cmd_compile(args) -> int:
     schema = _schema_from_args(args.field)
-    program = _load(args.file, schema)
-    own = parse(_read(args.file))
+    _, own, program = _load(args.file, schema)
     if args.explain or args.verify:
         return _explain(program, own, schema, verify=args.verify)
     compiler = AdnCompiler(registry=FunctionRegistry())
@@ -443,8 +440,7 @@ def _explain(program, own, schema, verify: bool = False) -> int:
 
 def cmd_plan(args) -> int:
     schema = _schema_from_args(args.field)
-    program = _load(args.file, schema)
-    own = parse(_read(args.file))
+    _, own, program = _load(args.file, schema)
     apps = list(own.apps)
     if not apps:
         print("no app definition in the file", file=sys.stderr)

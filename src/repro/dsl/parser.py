@@ -148,23 +148,29 @@ class Parser:
         apps: Dict[str, AppDef] = {}
         while self._current.type is not TokenType.EOF:
             if self._current.is_keyword("ELEMENT"):
-                element = self.parse_element()
-                if element.name in elements:
-                    raise self._error(f"duplicate element {element.name!r}")
-                elements[element.name] = element
+                self._define(elements, "element", self.parse_element())
             elif self._current.is_keyword("FILTER"):
-                filt = self.parse_filter()
-                if filt.name in filters:
-                    raise self._error(f"duplicate filter {filt.name!r}")
-                filters[filt.name] = filt
+                self._define(filters, "filter", self.parse_filter())
             elif self._current.is_keyword("APP"):
-                app = self.parse_app()
-                if app.name in apps:
-                    raise self._error(f"duplicate app {app.name!r}")
-                apps[app.name] = app
+                self._define(apps, "app", self.parse_app())
             else:
                 raise self._error("expected 'element', 'filter', or 'app'")
         return Program(elements=elements, filters=filters, apps=apps)
+
+    @staticmethod
+    def _define(defs: Dict[str, object], kind: str, definition) -> None:
+        """Record a top-level definition. A second one of the same kind
+        and name is an error at its own keyword, naming the first's
+        line."""
+        first = defs.get(definition.name)
+        if first is not None:
+            raise DslSyntaxError(
+                f"duplicate {kind} {definition.name!r}, first defined on "
+                f"line {first.span.line}",
+                definition.span.line,
+                definition.span.column,
+            )
+        defs[definition.name] = definition
 
     # -- element -----------------------------------------------------------
 

@@ -12,6 +12,7 @@ validate them into a :class:`~repro.dsl.ast_nodes.Program`.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional
 
 from .ast_nodes import Program
@@ -455,14 +456,29 @@ def stdlib_source(*names: str) -> str:
     return "\n".join(STDLIB_SOURCES[name] for name in names)
 
 
+@functools.lru_cache(maxsize=32)
+def _parse(text: str) -> Program:
+    """The parse of one concatenated stdlib text, once per process. Keyed
+    by the text itself, so an edited ``STDLIB_SOURCES`` entry parses
+    again. Callers share the cached definitions (and their ``meta``
+    dicts), so nothing may mutate them."""
+    return parse(text)
+
+
 def load_stdlib(
     names: Optional[list] = None,
     schema: Optional[RpcSchema] = None,
     registry: Optional[FunctionRegistry] = None,
 ) -> Program:
-    """Parse and validate stdlib elements (all of them by default)."""
+    """Parse and validate stdlib elements (all of them by default).
+
+    Parsing is memoized per distinct source text; validation runs on
+    every call, since it depends on ``schema`` and ``registry`` (and a
+    registry can gain functions), and it returns new top-level dicts.
+    The ``meta`` dicts of the returned definitions are shared between
+    calls: read them, never mutate them."""
     selected = list(names) if names is not None else list(STDLIB_SOURCES)
-    program = parse(stdlib_source(*selected))
+    program = _parse(stdlib_source(*selected))
     return validate_program(program, schema=schema, registry=registry)
 
 

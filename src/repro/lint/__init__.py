@@ -17,7 +17,13 @@ See ``docs/linting.md`` for the full catalog.
 """
 
 from .diagnostics import Diagnostic, Severity
-from .engine import LintOptions, LintResult, lint_file, lint_source
+from .engine import (
+    LintOptions,
+    LintResult,
+    lint_file,
+    lint_source,
+    lint_sources,
+)
 from .registry import all_rules, rule
 
 __all__ = [
@@ -28,5 +34,6 @@ __all__ = [
     "all_rules",
     "lint_file",
     "lint_source",
+    "lint_sources",
     "rule",
 ]

@@ -16,7 +16,7 @@ and compiler behaviour can't drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..control.placement import ClusterSpec
 from ..dsl.ast_nodes import ElementDef, Program
@@ -53,6 +53,9 @@ class LintContext:
     registry: FunctionRegistry
     #: the parsed program (own definitions only, unvalidated)
     program: Program
+    #: the validated stdlib chains resolve against, loaded once per lint
+    #: run (empty when ``options.include_stdlib`` is off)
+    stdlib: Program
     #: own definitions that passed validation, by name
     elements: Dict[str, ElementDef] = field(default_factory=dict)
     #: lowered IR for every valid element (own + chain-referenced stdlib)
@@ -113,23 +116,46 @@ def lint_source(
     options: Optional[LintOptions] = None,
 ) -> LintResult:
     """Lint one DSL source text."""
+    return lint_sources([(path, source)], options)[0]
+
+
+def lint_sources(
+    items: Iterable[tuple],
+    options: Optional[LintOptions] = None,
+) -> List[LintResult]:
+    """Lint each ``(path, source)`` pair, in order, against one stdlib
+    loaded once for the whole run. An item may carry a third member,
+    the source's already-parsed :class:`Program`, so it is not parsed
+    again."""
     options = options or LintOptions()
+    stdlib = load_stdlib() if options.include_stdlib else Program()
+    return [_lint(options, stdlib, *item) for item in items]
+
+
+def _lint(
+    options: LintOptions,
+    stdlib: Program,
+    path: str,
+    source: str,
+    program: Optional[Program] = None,
+) -> LintResult:
     registry = options.registry or DEFAULT_REGISTRY
     result = LintResult(path=path)
-    try:
-        program = parse(source)
-    except DslSyntaxError as error:
-        result.diagnostics.append(
-            Diagnostic(
-                code="ADN101",
-                severity=Severity.ERROR,
-                message=str(error),
-                path=path,
-                span=_error_span(error),
-                fix="fix the syntax error; later rules need a parse tree",
+    if program is None:
+        try:
+            program = parse(source)
+        except DslSyntaxError as error:
+            result.diagnostics.append(
+                Diagnostic(
+                    code="ADN101",
+                    severity=Severity.ERROR,
+                    message=str(error),
+                    path=path,
+                    span=_error_span(error),
+                    fix="fix the syntax error; later rules need a parse tree",
+                )
             )
-        )
-        return result
+            return result
 
     context = LintContext(
         path=path,
@@ -137,6 +163,7 @@ def lint_source(
         options=options,
         registry=registry,
         program=program,
+        stdlib=stdlib,
         own_elements=list(program.elements),
         own_apps=list(program.apps),
     )
@@ -202,11 +229,9 @@ def _validate_front_end(context: LintContext, result: LintResult) -> None:
             )
     # apps are validated against the stdlib-merged namespace so chains
     # may reference stdlib elements without redefining them
-    resolution = Program(
-        elements=dict(context.elements), filters=filters, apps={}
+    resolution = context.stdlib.merged(
+        Program(elements=context.elements, filters=filters)
     )
-    if options.include_stdlib:
-        resolution = load_stdlib().merged(resolution)
     for name, app in context.program.apps.items():
         try:
             validate_app(app, resolution)
@@ -225,9 +250,6 @@ def _validate_front_end(context: LintContext, result: LintResult) -> None:
 def _build_analyses(context: LintContext) -> None:
     """Lower and analyze valid own elements plus any stdlib elements the
     file's chains reference (cross-element rules need both sides)."""
-    stdlib = (
-        load_stdlib() if context.options.include_stdlib else Program()
-    )
     referenced: List[str] = []
     for app in context.program.apps.values():
         for chain in app.chains:
@@ -237,7 +259,7 @@ def _build_analyses(context: LintContext) -> None:
             continue
         element = context.elements.get(name)
         if element is None:
-            candidate = stdlib.elements.get(name)
+            candidate = context.stdlib.elements.get(name)
             if candidate is None:
                 continue  # unknown name: already an ADN102 on the app
             try:

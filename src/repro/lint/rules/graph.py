@@ -18,23 +18,18 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ...dsl.ast_nodes import ChainDecl, Program
-from ...dsl.stdlib import load_stdlib
 from ..deadline import CustodyEdge, walk_deadline_custody
 from ..diagnostics import Diagnostic, Severity
 from ..registry import rule
 
 
 def _resolution(context) -> Program:
-    """Own definitions over the stdlib (when enabled) — the same
-    namespace app chains validate against."""
+    """Own definitions over the run's stdlib (empty when disabled) — the
+    same namespace app chains validate against."""
     own = Program(
-        elements=dict(context.program.elements),
-        filters=dict(context.program.filters),
-        apps={},
+        elements=context.program.elements, filters=context.program.filters
     )
-    if context.options.include_stdlib:
-        return load_stdlib().merged(own)
-    return own
+    return context.stdlib.merged(own)
 
 
 def _deadline_sensitive(chain: ChainDecl, namespace: Program) -> List[str]:

@@ -1,5 +1,8 @@
 """Lexer unit tests."""
 
+import re
+import sys
+
 import pytest
 
 from repro.dsl.lexer import Lexer, tokenize
@@ -160,3 +163,13 @@ class TestCommentsAndPositions:
             lexer.next_token()
         assert excinfo.value.line == 2
         assert excinfo.value.column == 2
+
+
+class TestScannerClasses:
+    def test_word_run_is_isalnum_or_underscore(self):
+        # the lexer scans identifier runs with \w, so \w must match
+        # exactly the characters str.isalnum() or "_" accepts
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        by_pattern = "".join(re.findall(r"\w", every))
+        by_method = "".join(ch for ch in every if ch.isalnum() or ch == "_")
+        assert by_pattern == by_method

@@ -12,6 +12,7 @@ from repro.lint import (
     all_rules,
     lint_file,
     lint_source,
+    lint_sources,
 )
 
 DEMO = "examples/lint_demo.adn"
@@ -404,6 +405,62 @@ class TestStdlibClean:
                 if d.severity is Severity.ERROR
             ]
             assert not errors, f"{name}: {errors}"
+
+
+class TestLintSources:
+    """One lint run over many sources loads the stdlib once and finds
+    exactly what linting each source on its own finds."""
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        from pathlib import Path
+
+        from repro.dsl.stdlib import STDLIB_SOURCES
+
+        items = [
+            (str(path), path.read_text())
+            for path in sorted(Path("examples").glob("*.adn"))
+        ]
+        return items + [
+            (f"<stdlib:{name}>", STDLIB_SOURCES[name])
+            for name in sorted(STDLIB_SOURCES)
+        ]
+
+    def test_matches_per_source_lints(self, items):
+        batch = lint_sources(items)
+        assert [result.path for result in batch] == [p for p, _ in items]
+        for (path, source), result in zip(items, batch):
+            assert result.diagnostics == lint_source(
+                source, path=path
+            ).diagnostics, path
+
+    def test_loads_the_stdlib_once(self, items, monkeypatch):
+        from repro.lint import engine
+
+        loads = []
+        real_load = engine.load_stdlib
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "load_stdlib", counting_load)
+        lint_sources(items)
+        assert len(loads) == 1
+        lint_sources(items, LintOptions(include_stdlib=False))
+        assert len(loads) == 1
+
+    def test_parsed_program_is_not_parsed_again(self, monkeypatch):
+        from repro.dsl.parser import parse
+        from repro.lint import engine
+
+        with open(DEMO) as handle:
+            source = handle.read()
+        program = parse(source)
+        expected = lint_file(DEMO).diagnostics
+        monkeypatch.setattr(engine, "parse", None)  # any parse would fail
+        (result,) = lint_sources([(DEMO, source, program)])
+        assert result.diagnostics == expected
 
 
 class TestLintCli:

@@ -368,3 +368,59 @@ class TestFiltersAndApps:
         )
         assert set(program.elements) == {"E"}
         assert set(program.apps) == {"P"}
+
+
+class TestDuplicateDefinitions:
+    """A repeated top-level name is reported at the repeat's own keyword
+    and names the line of the first definition."""
+
+    DEFINITIONS = {
+        "element": "element {name} {{\n    on request {{ SELECT * FROM input; }}\n}}\n",
+        "filter": "filter {name} {{\n    use operator retry;\n}}\n",
+        "app": "app {name} {{\n    service a;\n}}\n",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DEFINITIONS))
+    def test_error_at_duplicate_keyword(self, kind):
+        text = self.DEFINITIONS[kind].format(name="A")
+        source = text + "\n" + "  " + text  # second starts at line 5, col 3
+        with pytest.raises(DslSyntaxError) as excinfo:
+            parse(source)
+        error = excinfo.value
+        assert (error.line, error.column) == (5, 3)
+        assert str(error) == (
+            f"duplicate {kind} 'A', first defined on line 1 "
+            "(line 5, column 3)"
+        )
+
+    def test_first_definition_line_is_its_keyword(self):
+        element = self.DEFINITIONS["element"]
+        source = (
+            element.format(name="A")
+            + "\n-- a comment\n"
+            + element.format(name="B")
+            + element.format(name="B")
+        )
+        with pytest.raises(DslSyntaxError) as excinfo:
+            parse(source)
+        assert "first defined on line 6" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (9, 1)
+
+    def test_same_name_across_kinds_is_allowed(self):
+        program = parse(
+            self.DEFINITIONS["element"].format(name="A")
+            + self.DEFINITIONS["filter"].format(name="A")
+            + self.DEFINITIONS["app"].format(name="A")
+        )
+        assert (set(program.elements), set(program.filters),
+                set(program.apps)) == ({"A"}, {"A"}, {"A"})
+
+    def test_lint_reports_duplicate_at_its_keyword(self):
+        from repro.lint import lint_source
+
+        element = self.DEFINITIONS["element"].format(name="A")
+        result = lint_source(element + "\n" + element, path="dup.adn")
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.code == "ADN101"
+        assert (diagnostic.span.line, diagnostic.span.column) == (5, 1)
+        assert "found EOF" not in diagnostic.message

@@ -8,6 +8,7 @@ import pytest
 
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.stdlib import STDLIB_SOURCES, stdlib_loc, stdlib_source
+from repro.errors import DslValidationError
 from repro.ir import ElementInstance, analyze_element, build_element_ir
 
 from conftest import make_rpc
@@ -52,6 +53,64 @@ class TestLibraryShape:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             stdlib_source("Nope")
+
+
+class TestParseMemo:
+    """``load_stdlib`` parses each distinct source text once per process
+    and validates on every call."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Count the parses ``load_stdlib`` makes, from a cold memo."""
+        from repro.dsl import stdlib
+
+        calls = []
+        real_parse = stdlib.parse
+
+        def counting_parse(text):
+            calls.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(stdlib, "parse", counting_parse)
+        stdlib._parse.cache_clear()
+        return calls
+
+    def test_repeat_calls_parse_once(self, parses):
+        first, second = load_stdlib(), load_stdlib()
+        assert len(parses) == 1
+        assert first == second
+        assert first.elements is not second.elements
+        assert first.filters is not second.filters
+        assert first.apps is not second.apps
+
+    def test_mutating_a_result_does_not_leak(self):
+        first = load_stdlib()
+        first.elements.pop("Acl")
+        first.filters.clear()
+        second = load_stdlib()
+        assert "Acl" in second.elements
+        assert len(second.filters) == 4
+
+    def test_patched_source_parses_again(self, parses, monkeypatch):
+        assert "Extra" not in load_stdlib(["Acl"]).elements
+        monkeypatch.setitem(
+            STDLIB_SOURCES,
+            "Acl",
+            STDLIB_SOURCES["Acl"]
+            + "element Extra { on request { SELECT * FROM input; } }\n",
+        )
+        assert "Extra" in load_stdlib(["Acl"]).elements
+        assert len(parses) == 2
+        monkeypatch.undo()
+        assert "Extra" not in load_stdlib(["Acl"]).elements
+
+    def test_validation_errors_are_not_cached(self, parses):
+        narrow = RpcSchema.of("narrow", payload=FieldType.INT)
+        for _ in range(2):
+            with pytest.raises(DslValidationError, match="username"):
+                load_stdlib(schema=narrow)
+        assert len(parses) == 1
+        assert "Acl" in load_stdlib().elements
 
 
 class TestLogging:
