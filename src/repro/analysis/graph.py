@@ -31,7 +31,9 @@ when those analyses see the whole graph. This module lifts them:
   runtime's ``RetryStats.amplification()``), deadline-budget
   feasibility, breaker/timeout coverage on deep retrying edges,
   fate-coherence of sibling ``hash_fields``, and RMW state reachable
-  from multiple edges.
+  from multiple edges. The DSL-side ``ADN601``/``ADN602``
+  (:mod:`repro.lint.rules.graph`) read the same amplification and
+  budget facts off multi-chain apps lowered to this model.
 
 * **State-effect semantics (ADN700–703).** Per-element effect
   summaries (:mod:`repro.analysis.effects`) composed over the same
@@ -47,7 +49,8 @@ when those analyses see the whole graph. This module lifts them:
 
 ``ADN600`` (owned by :mod:`repro.graph.lint`) covers spec loading and
 name resolution so every failure mode of ``repro graph --check`` is a
-diagnostic, never a traceback.
+diagnostic, never a traceback; :func:`repro.graph.lint.lint_graph`
+runs every spec check, this analyzer last.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from ..ir.builder import build_element_ir
 from ..ir.nodes import ChainIR, ElementIR
 from ..ir.passes.dead_fields import Removal, eliminate_dead_fields
 from ..ir.replication import AccessMode, ReplicationSafety
-from ..lint.diagnostics import Diagnostic, Severity, dedupe_diagnostics
+from ..lint.diagnostics import Diagnostic, Severity, sort_key
 from .domains import join
 from .effects import ElementEffects, element_effects, refine_replication
 from .typecheck import Env, TypeFinding, check_chain, env_from_schema
@@ -295,41 +298,49 @@ def retry_amplification(
     return bounds, bounds[worst_key], tuple(path)
 
 
+def amplification_crossings(
+    graph: ServiceGraph,
+    bounds: Dict[EdgeKey, float],
+    threshold: float,
+) -> List[EdgeSpec]:
+    """Edges where a root path's retry amplification first exceeds
+    ``threshold`` (no path into the edge's source does yet), so one bad
+    path yields one edge, not one per descendant."""
+    worst_in: Dict[str, float] = {name: 1.0 for name in graph.services}
+    for edge in graph.edges:
+        worst_in[edge.dst] = max(worst_in[edge.dst], bounds[edge.key])
+    return [
+        edge
+        for edge in graph.edges
+        if bounds[edge.key] > threshold and worst_in[edge.src] <= threshold
+    ]
+
+
 def _check_amplification(
     graph: ServiceGraph,
     bounds: Dict[EdgeKey, float],
     options: GraphAnalysisOptions,
     path: str,
 ) -> List[Diagnostic]:
-    """ADN601: fire once per threshold *crossing* — the first edge whose
-    path product exceeds the bound — so one bad path reports one
-    finding, not one per descendant edge."""
-    worst_in: Dict[str, float] = {name: 1.0 for name in graph.services}
-    for edge in graph.edges:
-        worst_in[edge.dst] = max(worst_in[edge.dst], bounds[edge.key])
-    out: List[Diagnostic] = []
+    """ADN601: fire once per threshold crossing."""
     threshold = options.amplification_threshold
-    for edge in graph.edges:
-        bound = bounds[edge.key]
-        if bound <= threshold or worst_in[edge.src] > threshold:
-            continue
-        out.append(
-            _diag(
-                "ADN601",
-                Severity.ERROR,
-                f"worst-case retry amplification through edge "
-                f"{edge.name} is {bound:g}x (product of max_attempts "
-                f"along the call path), above the bound of "
-                f"{threshold:g}x — a retry storm waiting for its "
-                "first slow dependency",
-                path,
-                element=edge.name,
-                fix="reduce max_attempts along the path (retries "
-                "multiply across hops; retry near the root OR near "
-                "the leaf, not both)",
-            )
+    return [
+        _diag(
+            "ADN601",
+            Severity.ERROR,
+            f"worst-case retry amplification through edge "
+            f"{edge.name} is {bounds[edge.key]:g}x (product of "
+            f"max_attempts along the call path), above the bound of "
+            f"{threshold:g}x — a retry storm waiting for its "
+            "first slow dependency",
+            path,
+            element=edge.name,
+            fix="reduce max_attempts along the path (retries "
+            "multiply across hops; retry near the root OR near "
+            "the leaf, not both)",
         )
-    return out
+        for edge in amplification_crossings(graph, bounds, threshold)
+    ]
 
 
 # -- deadline-budget feasibility (ADN602) ---------------------------------
@@ -345,6 +356,29 @@ def _downstream_hops(graph: ServiceGraph) -> Dict[str, int]:
     return hops
 
 
+def deadline_budgets(
+    graph: ServiceGraph,
+) -> Tuple[Dict[EdgeKey, float], Dict[EdgeKey, float]]:
+    """Per edge, in ms (``inf``: unbounded): the *inherited* budget any
+    caller path can pass down at most, and the *effective* budget,
+    ``min(deadline_budget_ms, inherited)``."""
+    infinity = float("inf")
+    inherited: Dict[EdgeKey, float] = {}
+    effective: Dict[EdgeKey, float] = {}
+    for service in graph.topological_order():
+        passed = max(
+            (effective[parent.key] for parent in graph.incoming(service)),
+            default=infinity,
+        )
+        for edge in graph.outgoing(service):
+            own = edge.deadline_budget_ms
+            inherited[edge.key] = passed
+            effective[edge.key] = min(
+                own if own is not None else infinity, passed
+            )
+    return inherited, effective
+
+
 def _check_budgets(
     graph: ServiceGraph,
     options: GraphAnalysisOptions,
@@ -353,34 +387,25 @@ def _check_budgets(
     """ADN602: a budget that cannot do what it promises — larger than
     what any parent can pass down, smaller than a per-attempt timeout,
     or too thin to cover the descendant fan-out's hop floor."""
-    infinity = float("inf")
-    eff: Dict[EdgeKey, float] = {}
+    inherited, eff = deadline_budgets(graph)
     hops = _downstream_hops(graph)
     out: List[Diagnostic] = []
     for service in graph.topological_order():
-        incoming = graph.incoming(service)
-        inherited = (
-            max(eff[parent.key] for parent in incoming)
-            if incoming
-            else infinity
-        )
         for edge in graph.outgoing(service):
-            own = (
-                edge.deadline_budget_ms
-                if edge.deadline_budget_ms is not None
-                else infinity
-            )
-            eff[edge.key] = min(own, inherited)
-            if own != infinity and own > inherited:
+            effective = eff[edge.key]  # inf (unbounded) passes both checks
+            if (
+                edge.deadline_budget_ms is not None
+                and edge.deadline_budget_ms > inherited[edge.key]
+            ):
                 out.append(
                     _diag(
                         "ADN602",
                         Severity.WARNING,
                         f"edge {edge.name} budgets "
                         f"{edge.deadline_budget_ms:g} ms but every "
-                        f"caller path delivers at most {inherited:g} ms "
-                        "— the surplus is headroom that can never be "
-                        "used",
+                        f"caller path delivers at most "
+                        f"{inherited[edge.key]:g} ms — the surplus is "
+                        "headroom that can never be used",
                         path,
                         element=edge.name,
                         fix="lower the edge budget to what its callers "
@@ -389,8 +414,7 @@ def _check_budgets(
                 )
             if (
                 edge.per_attempt_timeout_ms is not None
-                and eff[edge.key] != infinity
-                and edge.per_attempt_timeout_ms > eff[edge.key]
+                and edge.per_attempt_timeout_ms > effective
             ):
                 out.append(
                     _diag(
@@ -398,7 +422,7 @@ def _check_budgets(
                         Severity.WARNING,
                         f"edge {edge.name} allows "
                         f"{edge.per_attempt_timeout_ms:g} ms per attempt "
-                        f"but its effective budget is {eff[edge.key]:g} "
+                        f"but its effective budget is {effective:g} "
                         "ms — a single slow attempt exhausts the whole "
                         "logical call",
                         path,
@@ -409,13 +433,13 @@ def _check_budgets(
                     )
                 )
             floor = options.min_hop_ms * (1 + hops[edge.dst])
-            if eff[edge.key] != infinity and eff[edge.key] < floor:
+            if effective < floor:
                 out.append(
                     _diag(
                         "ADN602",
                         Severity.WARNING,
                         f"edge {edge.name} has an effective budget of "
-                        f"{eff[edge.key]:g} ms but {1 + hops[edge.dst]} "
+                        f"{effective:g} ms but {1 + hops[edge.dst]} "
                         "downstream hop(s) need at least "
                         f"{floor:g} ms at {options.min_hop_ms:g} ms per "
                         "hop — descendants start work they can never "
@@ -932,7 +956,7 @@ def analyze_graph(
                 boundary_findings=boundary_findings,
             )
 
-    diagnostics = dedupe_diagnostics(diagnostics)
+    diagnostics.sort(key=sort_key)
     return GraphAnalysis(
         graph=graph,
         schema=schema,

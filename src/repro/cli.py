@@ -17,8 +17,9 @@ Commands:
   prefix and shedding in front of the host (repro.offload);
 * ``graph``   — load/validate a service-graph topology spec
   (repro.graph), print every edge with its attached chain, the
-  topology lint findings (ADN405), and the solved cross-service
-  placement.
+  topology findings (ADN600 resolution, ADN405-407, and with
+  ``--check`` the interprocedural ADN601-606/ADN70x analysis), and the
+  solved cross-service placement.
 
 The RPC schema is given as repeated ``--field name:type`` options
 (types: str, int, float, bool, bytes). A reasonable default schema
@@ -125,44 +126,20 @@ def _fails(diagnostics, threshold) -> bool:
 
 def _graph_spec_diagnostics(args, program, schema, spec: str):
     """Diagnostics for a topology spec checked against ``program``:
-    ADN600 loading/resolution failures, ADN405 deadline custody, and —
-    when the spec loads and resolves — the full interprocedural ADN60x
-    analysis. Returns (diagnostics, failed)."""
-    from .analysis.graph import analyze_graph
-    from .graph.lint import (
-        check_chain_resolution,
-        check_control_plane_single_point,
-        check_deadline_propagation,
-        check_offload_capacity,
-        load_graph_spec,
-        spec_cluster_block,
-    )
+    ADN600 loading failures, or every spec check including the full
+    interprocedural analysis. Returns (diagnostics, failed)."""
+    from .graph.lint import lint_graph, load_graph_spec, spec_cluster_block
     from .lint import Severity
-    from .lint.diagnostics import dedupe_diagnostics
+    from .lint.diagnostics import sort_key
 
     graph, diagnostics = load_graph_spec(spec)
     if graph is not None:
-        resolution = check_chain_resolution(
-            graph, program, schema, path=spec
+        errors, findings, _analysis = lint_graph(
+            graph, program, schema, path=spec,
+            cluster=spec_cluster_block(spec),
         )
-        diagnostics = diagnostics + resolution
-        diagnostics += check_deadline_propagation(graph, path=spec)
-        diagnostics += check_control_plane_single_point(
-            graph, spec_cluster_block(spec), program, path=spec
-        )
-        if not resolution:
-            diagnostics += check_offload_capacity(
-                graph, program, schema, path=spec
-            )
-            diagnostics += analyze_graph(
-                graph, program, schema, path=spec
-            ).diagnostics
-    # both the DSL-side and spec-side emitters of a shared rule may have
-    # fired for one root cause: collapse to the winner and present in
-    # stable (file, span, rule id) order
-    diagnostics = dedupe_diagnostics(diagnostics)
-    threshold = Severity.from_name(args.fail_on)
-    return diagnostics, _fails(diagnostics, threshold)
+        diagnostics = sorted(errors + findings, key=sort_key)
+    return diagnostics, _fails(diagnostics, Severity.from_name(args.fail_on))
 
 
 def _typecheck_diagnostics(args, schema, source, own):
@@ -786,14 +763,7 @@ def cmd_offload(args) -> int:
 
 def cmd_graph(args) -> int:
     from .graph import solve_graph_placement
-    from .graph.lint import (
-        check_chain_resolution,
-        check_control_plane_single_point,
-        check_deadline_propagation,
-        check_offload_capacity,
-        load_graph_spec,
-        spec_cluster_block,
-    )
+    from .graph.lint import lint_graph, load_graph_spec, spec_cluster_block
     from .graph.placement import default_machine_pool
     from .graph.scenario import MESH_SCHEMA, bookinfo_graph, hotel_mesh_graph
     from .lint import Severity
@@ -826,27 +796,11 @@ def cmd_graph(args) -> int:
             for diagnostic in spec_diags:
                 print(diagnostic.format_text(), file=sys.stderr)
         return 1 if failed else 0
-    errors = check_chain_resolution(graph, program, schema, path=where)
-    diagnostics = check_deadline_propagation(graph, path=where)
-    diagnostics = diagnostics + check_control_plane_single_point(
-        graph,
-        spec_cluster_block(args.spec) if args.spec else None,
-        program,
-        path=where,
+    errors, diagnostics, analysis = lint_graph(
+        graph, program, schema, path=where,
+        cluster=spec_cluster_block(args.spec) if args.spec else None,
+        analyze=args.check,
     )
-    if not errors:
-        diagnostics = diagnostics + check_offload_capacity(
-            graph, program, schema, path=where
-        )
-    analysis = None
-    if args.check and not errors:
-        from .analysis.graph import analyze_graph
-
-        analysis = analyze_graph(graph, program, schema, path=where)
-        diagnostics = diagnostics + analysis.diagnostics
-    from .lint.diagnostics import dedupe_diagnostics
-
-    diagnostics = dedupe_diagnostics(diagnostics)
     placement = None
     if not errors and not args.no_place:
         placement = solve_graph_placement(

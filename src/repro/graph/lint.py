@@ -1,15 +1,12 @@
 """Topology-level lint for :class:`~repro.graph.model.ServiceGraph`.
 
-The DSL-side rule (``ADN405`` in :mod:`repro.lint.rules.graph`) reads
-deadline custody off app chains; this module applies the same rule to a
-graph spec directly, where the facts are first-class fields instead of
-filter meta: an edge is deadline-*sensitive* when it retries
-(``max_attempts > 1``) or runs admission control, and an edge
-*establishes* a budget when ``deadline_budget_ms`` is set. Both front
-ends share the actual traversal
-(:func:`repro.lint.deadline.walk_deadline_custody`). Findings are
-ordinary :class:`~repro.lint.diagnostics.Diagnostic` objects so the CLI
-renders them exactly like file lints.
+Every graph command gets a spec's findings from :func:`lint_graph`:
+``ADN600`` name resolution, ``ADN405``, ``ADN406``, ``ADN407`` and the
+interprocedural suite of :mod:`repro.analysis.graph`, as ordinary
+:class:`~repro.lint.diagnostics.Diagnostic` objects. The ``ADN405``
+deadline-custody walk (:func:`deadline_custody`) reads ``EdgeSpec``
+fields; the DSL-side rule (:mod:`repro.lint.rules.graph`) lowers
+multi-chain apps to ``EdgeSpec``\\ s and runs the same walk.
 
 This module also owns ``ADN600``: lifting spec-loading and
 chain-resolution failures (malformed JSON, dangling edges, unknown
@@ -21,83 +18,116 @@ and element like every other finding.
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..dsl.ast_nodes import Program
 from ..dsl.schema import RpcSchema
-from ..lint.deadline import CustodyEdge, walk_deadline_custody
-from ..lint.diagnostics import Diagnostic, Severity
+from ..lint.diagnostics import Diagnostic, Severity, sort_key
 from .model import EdgeSpec, GraphError, ServiceGraph
 
+if TYPE_CHECKING:
+    from ..analysis.graph import GraphAnalysis
 
-def _sensitive(edge: EdgeSpec) -> Tuple[str, ...]:
+
+def deadline_custody(
+    edges: Sequence[EdgeSpec],
+) -> List[Tuple[EdgeSpec, Optional[EdgeSpec]]]:
+    """Every deadline-sensitive edge not covered by a budget, as one
+    ``(edge, parent)`` pair per upstream edge into its source that sets
+    no ``deadline_budget_ms`` (the runtime derives a child budget from
+    the parent's remainder), or ``(edge, None)`` for an entry edge that
+    sets none itself. Needs no call order: cyclic edge sets are fine."""
+    by_dst: Dict[str, List[EdgeSpec]] = {}
+    for edge in edges:
+        by_dst.setdefault(edge.dst, []).append(edge)
+    out: List[Tuple[EdgeSpec, Optional[EdgeSpec]]] = []
+    for edge in edges:
+        if not (edge.retries or edge.admission):
+            continue
+        # an entry edge (no parent) must carry the budget itself
+        for parent in by_dst.get(edge.src) or [None]:
+            if (parent or edge).deadline_budget_ms is None:
+                out.append((edge, parent))
+    return out
+
+
+def _sensitive(edge: EdgeSpec) -> str:
     reasons = []
-    if edge.max_attempts > 1:
+    if edge.retries:
         reasons.append(f"retries (max_attempts={edge.max_attempts})")
     if edge.admission:
         reasons.append("admission control")
-    return tuple(reasons)
-
-
-def _custody_edges(graph: ServiceGraph) -> List[CustodyEdge]:
-    return [
-        CustodyEdge(
-            src=edge.src,
-            dst=edge.dst,
-            name=edge.name,
-            sensitive=_sensitive(edge),
-            carries_budget=edge.deadline_budget_ms is not None,
-            payload=edge,
-        )
-        for edge in graph.edges
-    ]
+    return " and ".join(reasons)
 
 
 def check_deadline_propagation(
     graph: ServiceGraph, path: str = "<graph>"
 ) -> List[Diagnostic]:
     """ADN405 over a graph spec: every deadline-sensitive edge must be
-    reachable under a budget — either every upstream edge into its
-    source sets ``deadline_budget_ms`` (the runtime then derives the
-    child budget from the parent's remainder), or, for entry edges with
-    no upstream, the edge itself must set one."""
+    reachable under a budget (see :func:`deadline_custody`)."""
     out: List[Diagnostic] = []
-    for finding in walk_deadline_custody(_custody_edges(graph)):
-        edge, parent = finding.edge, finding.parent
-        reasons = " and ".join(edge.sensitive)
+    for edge, parent in deadline_custody(graph.edges):
+        reasons = _sensitive(edge)
         if parent is None:
-            out.append(
-                Diagnostic(
-                    code="ADN405",
-                    severity=Severity.WARNING,
-                    message=(
-                        f"entry edge {edge.name} uses {reasons} but sets "
-                        "no deadline_budget_ms — nothing bounds the "
-                        "work its elements act on"
-                    ),
-                    path=path,
-                    element=edge.name,
-                    fix="set deadline_budget_ms on the edge",
-                )
+            message = (
+                f"entry edge {edge.name} uses {reasons} but sets no "
+                "deadline_budget_ms — nothing bounds the work its "
+                "elements act on"
             )
+            fix = "set deadline_budget_ms on the edge"
         else:
-            out.append(
-                Diagnostic(
-                    code="ADN405",
-                    severity=Severity.WARNING,
-                    message=(
-                        f"edge {edge.name} uses {reasons} but upstream "
-                        f"edge {parent.name} propagates no deadline "
-                        "budget"
-                    ),
-                    path=path,
-                    element=edge.name,
-                    fix=f"set deadline_budget_ms on {parent.name} so "
-                    "the remaining budget reaches the downstream "
-                    "elements",
-                )
+            message = (
+                f"edge {edge.name} uses {reasons} but upstream edge "
+                f"{parent.name} propagates no deadline budget"
             )
+            fix = (
+                f"set deadline_budget_ms on {parent.name} so the "
+                "remaining budget reaches the downstream elements"
+            )
+        out.append(
+            Diagnostic(
+                code="ADN405",
+                severity=Severity.WARNING,
+                message=message,
+                path=path,
+                element=edge.name,
+                fix=fix,
+            )
+        )
     return out
+
+
+def lint_graph(
+    graph: ServiceGraph,
+    program: Program,
+    schema: RpcSchema,
+    path: str = "<graph>",
+    cluster: Optional[dict] = None,
+    analyze: bool = True,
+) -> Tuple[List[Diagnostic], List[Diagnostic], Optional[GraphAnalysis]]:
+    """Every spec-side check over one graph.
+
+    ``ADN600`` name resolution, ``ADN405`` and ``ADN407`` always run;
+    ``ADN406`` and — with ``analyze`` — :func:`analyze_graph` only when
+    every name resolves. ``cluster`` is the spec's deployment block
+    (:func:`spec_cluster_block`). Returns (resolution errors, the other
+    findings sorted by ``sort_key``, the analysis or ``None``).
+    """
+    errors = check_chain_resolution(graph, program, path)
+    findings = check_deadline_propagation(graph, path)
+    findings += check_control_plane_single_point(
+        graph, cluster, program, path
+    )
+    analysis = None
+    if not errors:
+        findings += check_offload_capacity(graph, program, schema, path)
+        if analyze:
+            # imported here: repro.analysis.graph imports repro.graph
+            from ..analysis.graph import analyze_graph
+
+            analysis = analyze_graph(graph, program, schema, path=path)
+            findings += analysis.diagnostics
+    return errors, sorted(findings, key=sort_key), analysis
 
 
 def spec_cluster_block(path: str) -> Optional[dict]:
@@ -218,13 +248,11 @@ def load_graph_spec(
 def check_chain_resolution(
     graph: ServiceGraph,
     program: Program,
-    schema: RpcSchema,
     path: str = "<graph>",
 ) -> List[Diagnostic]:
     """ADN600 for name resolution: every element named on an edge must
-    resolve in the program (element or filter). Wraps
-    :meth:`ServiceGraph.check_chains` so unknown names surface as
-    diagnostics carrying the offending edge."""
+    resolve in the program (element or filter); each unknown name is
+    reported with the edge that carries it."""
     out: List[Diagnostic] = []
     for edge in graph.edges:
         for name in edge.elements:
@@ -237,10 +265,6 @@ def check_chain_resolution(
                     element=edge.name,
                 )
             )
-    for message in graph.check_chains(program, schema):
-        if "unknown element" in message:
-            continue  # already reported per-edge above, with the edge name
-        out.append(_spec_error(message, path))
     return out
 
 

@@ -11,7 +11,11 @@ Rule code blocks:
 * ``ADN1xx`` — front-end failures (syntax, validation);
 * ``ADN2xx`` — dead state and dead handlers;
 * ``ADN3xx`` — state races / replication safety;
-* ``ADN4xx`` — placement infeasibility.
+* ``ADN4xx`` — placement, overload and control-plane safety;
+* ``ADN5xx`` — abstract-interpretation type and effect checks;
+* ``ADN6xx`` — graph flow over multi-chain apps (retry amplification,
+  deadline budgets), shared with the topology-spec analyzer;
+* ``ADN7xx`` — state effects under retries, fan-out and replication.
 
 See ``docs/linting.md`` for the full catalog.
 """

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional
+from typing import Optional
 
 from ..dsl.span import Span
 
@@ -74,58 +74,3 @@ def sort_key(diagnostic: Diagnostic):
         diagnostic.code,
     )
 
-
-#: rules with both a DSL-side lint variant and a spec-side graph-checker
-#: variant — two findings with the same (code, element) describe one
-#: root cause and must not report twice (`repro check --graph` runs
-#: both paths over one invocation)
-CROSS_VARIANT_CODES: FrozenSet[str] = frozenset(
-    {"ADN405", "ADN601", "ADN602"}
-)
-
-
-def dedupe_diagnostics(
-    diagnostics: Iterable[Diagnostic],
-    cross_variant: FrozenSet[str] = CROSS_VARIANT_CODES,
-) -> List[Diagnostic]:
-    """Collapse duplicate findings and sort by (file, span, rule id).
-
-    Exact duplicates (same position, code, element, and message) always
-    collapse. For the cross-variant codes, findings additionally
-    collapse on (code, element): the DSL-side and spec-side emitters
-    word one root cause differently, so the highest-severity variant
-    (ties broken by position — a real span beats none) wins.
-    """
-    ordered = sorted(diagnostics, key=sort_key)
-    winners: dict = {}
-    for diag in ordered:
-        if diag.code not in cross_variant or not diag.element:
-            continue
-        key = (diag.code, diag.element)
-        prev = winners.get(key)
-        if prev is None or diag.severity.rank > prev.severity.rank or (
-            diag.severity.rank == prev.severity.rank
-            and prev.line == 0
-            and diag.line > 0
-        ):
-            winners[key] = diag
-    out: List[Diagnostic] = []
-    seen_exact = set()
-    for diag in ordered:
-        exact = (
-            diag.path,
-            diag.line,
-            diag.column,
-            diag.code,
-            diag.element,
-            diag.message,
-        )
-        if exact in seen_exact:
-            continue
-        seen_exact.add(exact)
-        if diag.code in cross_variant and diag.element:
-            if winners.get((diag.code, diag.element)) is not diag:
-                continue
-        out.append(diag)
-    out.sort(key=sort_key)
-    return out

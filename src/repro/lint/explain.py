@@ -116,7 +116,10 @@ app NoCustody {
     chain gw -> mid { Logging }                -- no budget established
     chain mid -> leaf { guarded }              -- retry consumes one
 }
-filter guarded = retry { max_attempts: 3; deadline_budget_ms: 20.0; };""",
+filter guarded {
+    meta { max_retries: 2; deadline_budget_ms: 20.0; }
+    use operator retry;
+}""",
     "ADN406": """\
 element HugeTable {
     state seen (k: str KEY, v: int);
@@ -185,15 +188,24 @@ app Storm {
     chain a -> b { r3 }
     chain b -> c { r3 }   -- 3 x 3 = 9x worst-case amplification
 }
-filter r3 = retry { max_attempts: 3; deadline_budget_ms: 50.0; };""",
+filter r3 {
+    meta { max_retries: 2; deadline_budget_ms: 50.0; }  -- 3 attempts
+    use operator retry;
+}""",
     "ADN602": """\
 app BadBudget {
     service a; service b; service c;
     chain a -> b { tight }
     chain b -> c { loose }   -- child budgets more ms than the parent has
 }
-filter tight = retry { max_attempts: 2; deadline_budget_ms: 10.0; };
-filter loose = retry { max_attempts: 2; deadline_budget_ms: 200.0; };""",
+filter tight {
+    meta { max_retries: 1; deadline_budget_ms: 10.0; }
+    use operator retry;
+}
+filter loose {
+    meta { max_retries: 1; deadline_budget_ms: 200.0; }
+    use operator retry;
+}""",
     "ADN700": """\
 element DoubleCharge {
     state counters (method: str KEY, hits: int);

@@ -67,7 +67,6 @@ def _load_builtin_rules() -> None:
         dead,
         effects,
         graph,
-        graph_flow,
         overload,
         placement,
         state_race,

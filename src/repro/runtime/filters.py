@@ -43,6 +43,10 @@ CallFn = Callable[..., Generator]
 #: reflexively retrying an explicit shed is how retry storms start
 DEFAULT_RETRYABLE = ("Fault", "Timeout")
 
+#: additional attempts a ``retry`` filter makes when its meta sets no
+#: ``max_retries`` (so 4 attempts per logical call)
+DEFAULT_MAX_RETRIES = 3
+
 #: outcomes a circuit breaker counts as downstream failure — silence
 #: and explicit overload rejects, but not application-level aborts
 #: (an ACL denial is the server working, not the server failing)
@@ -501,7 +505,7 @@ def apply_filter(sim: Simulator, call: CallFn, filter_def: FilterDef) -> CallFn:
         return wrap_retry(
             sim,
             shaped,
-            max_retries=int(meta.get("max_retries", 3)),
+            max_retries=int(meta.get("max_retries", DEFAULT_MAX_RETRIES)),
             retry_on=retryable,
             backoff_ms=float(meta.get("backoff_ms", 0.0)),
             deadline_budget_ms=(

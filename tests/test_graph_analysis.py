@@ -3,8 +3,11 @@ liveness, retry-amplification bounds, the ADN600-ADN606 rule family,
 graph-wide dead-field elimination, and CLI exit-code parity."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.graph import (
     GraphAnalysisOptions,
@@ -29,6 +32,7 @@ from repro.graph import (
 from repro.graph.lint import check_chain_resolution, load_graph_spec
 from repro.ir.passmgr import GraphPassManager
 from repro.lint import Severity
+from repro.runtime.filters import DEFAULT_MAX_RETRIES
 
 DEMO_DSL = "examples/lint_demo.adn"
 
@@ -354,7 +358,7 @@ class TestAdn600SpecDiagnostics:
     def test_unknown_element_carries_the_edge(self):
         graph = GraphBuilder("g").edge("a", "b", elements=("Ghost",)).build()
         diags = check_chain_resolution(
-            graph, mesh_program(), MESH_SCHEMA, path="topo.json"
+            graph, mesh_program(), path="topo.json"
         )
         assert codes(diags) == ["ADN600"]
         assert diags[0].element == "a->b"
@@ -478,6 +482,224 @@ app ok {
             options=LintOptions(schema=MESH_SCHEMA),
         )
         assert "ADN601" not in codes(result.diagnostics)
+
+
+def dsl_findings(source, code):
+    from repro.lint import lint_source
+
+    return [d for d in lint_source(source).diagnostics if d.code == code]
+
+
+class TestDslGraphLowering:
+    """Multi-chain apps lower to EdgeSpecs and get the spec verdicts."""
+
+    def test_unset_max_retries_is_the_runtime_default(self):
+        (finding,) = dsl_findings(
+            """
+filter R { use operator retry; }
+app storm {
+    service a; service b; service c;
+    chain a -> b { Logging }
+    chain b -> c { R, R, R }
+}
+""",
+            "ADN601",
+        )
+        # each R makes 1 + DEFAULT_MAX_RETRIES = 4 attempts: 4^3
+        assert "edge b -> c is 64x" in finding.message
+        assert finding.element == "storm"
+        assert finding.line == 6
+
+    def test_unbudgeted_co_caller_gives_no_adn602(self):
+        assert dsl_findings(
+            """
+filter Tight {
+    meta { max_retries: 1; deadline_budget_ms: 10.0; }
+    use operator retry;
+}
+filter Loose {
+    meta { max_retries: 1; deadline_budget_ms: 200.0; }
+    use operator retry;
+}
+app co {
+    service a; service b; service c; service d;
+    chain a -> c { Tight }
+    chain b -> c { Logging }
+    chain c -> d { Loose }
+}
+""",
+            "ADN602",
+        ) == []
+
+    def test_budgeted_grandparent_gives_adn602(self):
+        (finding,) = dsl_findings(
+            """
+filter Outer {
+    meta { max_retries: 1; deadline_budget_ms: 50.0; }
+    use operator retry;
+}
+filter Inner {
+    meta { max_retries: 1; deadline_budget_ms: 100.0; }
+    use operator retry;
+}
+app deep {
+    service a; service b; service c; service d;
+    chain a -> b { Outer }
+    chain b -> c { Logging }
+    chain c -> d { Inner }
+}
+""",
+            "ADN602",
+        )
+        assert finding.message.startswith(
+            "edge c -> d budgets 100 ms but every upstream chain delivers "
+            "at most 50 ms"
+        )
+
+    def test_zero_retries_is_not_deadline_sensitive(self):
+        assert dsl_findings(
+            """
+filter Once {
+    meta { max_retries: 0; deadline_budget_ms: 20.0; }
+    use operator retry;
+}
+app once {
+    service a; service b; service c;
+    chain a -> b { Logging }
+    chain b -> c { Once }
+}
+""",
+            "ADN405",
+        ) == []
+
+    @pytest.mark.parametrize(
+        "first, last, expected", [("Retry", "Logging", 0),
+                                  ("Logging", "Retry", 1)]
+    )
+    def test_last_chain_per_pair_is_the_edge(self, first, last, expected):
+        findings = dsl_findings(
+            f"""
+app dup {{
+    service a; service b; service c;
+    chain a -> b {{ Logging }}
+    chain b -> c {{ {first} }}
+    chain b -> c {{ {last} }}
+}}
+""",
+            "ADN405",
+        )
+        assert len(findings) == expected
+
+    def test_cyclic_app_lints_without_traceback(self):
+        from repro.lint import lint_source
+
+        result = lint_source(
+            """
+app loop {
+    service a; service b; service c;
+    chain a -> b { Logging }
+    chain b -> c { Retry, Retry }
+    chain c -> a { Retry }
+}
+"""
+        )
+        found = codes(result.diagnostics)
+        assert "ADN405" in found  # the custody walk needs no order
+        assert "ADN601" not in found and "ADN602" not in found
+
+
+EDGE_PAIR = re.compile(r"edge (\w+) ?-> ?(\w+)")
+UPSTREAM_PAIR = re.compile(r"upstream edge (\w+) ?-> ?(\w+)")
+
+RETRY_FILTERS = st.tuples(
+    st.sampled_from([None, 0, 1, 2, 3]),
+    st.sampled_from([None, 10.0, 50.0, 100.0, 200.0]),
+)
+
+
+@st.composite
+def multichain_apps(draw):
+    """(DSL source, equivalent graph): a DAG of chains over up to five
+    services, each chain stacking up to two retry filters and maybe
+    admission control."""
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    picked = draw(
+        st.lists(st.sampled_from(pairs), min_size=2, max_size=6,
+                 unique=True)
+    )
+    filters, chains = [], []
+    builder = GraphBuilder("gen")
+    for index, (i, j) in enumerate(picked):
+        elements, attempts, budget = ["Logging"], 1, None
+        for k, (retries, ms) in enumerate(
+            draw(st.lists(RETRY_FILTERS, max_size=2))
+        ):
+            name = f"R{index}x{k}"
+            meta = ""
+            if retries is not None:
+                meta += f"max_retries: {retries}; "
+            if ms is not None:
+                meta += f"deadline_budget_ms: {ms}; "
+            filters.append(
+                f"filter {name} {{ "
+                + (f"meta {{ {meta}}} " if meta else "")
+                + "use operator retry; }"
+            )
+            elements.append(name)
+            attempts *= 1 + (
+                DEFAULT_MAX_RETRIES if retries is None else retries
+            )
+            if budget is None:
+                budget = ms
+        admission = draw(st.booleans())
+        if admission:
+            elements.append("AdmissionControl")
+        chains.append(f"    chain s{i} -> s{j} {{ {', '.join(elements)} }}")
+        builder.edge(f"s{i}", f"s{j}", max_attempts=attempts,
+                     deadline_budget_ms=budget, admission=admission)
+    services = sorted({f"s{n}" for pair in picked for n in pair})
+    source = "\n".join(filters) + "\napp gen {\n" + "".join(
+        f"    service {name};\n" for name in services
+    ) + "\n".join(chains) + "\n}\n"
+    return source, builder.build()
+
+
+def flagged(diagnostics, code, text=""):
+    """The (src, dst) edges ``code`` findings name."""
+    return sorted(
+        EDGE_PAIR.search(d.message).groups()
+        for d in diagnostics
+        if d.code == code and text in d.message
+    )
+
+
+def custody_pairs(diagnostics):
+    """(edge, upstream edge) of every non-entry ADN405 finding."""
+    return sorted(
+        (EDGE_PAIR.search(d.message).groups(),
+         UPSTREAM_PAIR.search(d.message).groups())
+        for d in diagnostics
+        if d.code == "ADN405" and "upstream" in d.message
+    )
+
+
+class TestDslSpecAgreement:
+    @settings(max_examples=50, deadline=None)
+    @given(multichain_apps())
+    def test_dsl_and_spec_flag_the_same_edges(self, case):
+        from repro.graph.lint import check_deadline_propagation
+        from repro.lint import lint_source
+
+        source, graph = case
+        dsl = lint_source(source).diagnostics
+        spec = analyze(graph).diagnostics
+        assert flagged(dsl, "ADN601") == flagged(spec, "ADN601")
+        assert flagged(dsl, "ADN602") == flagged(
+            spec, "ADN602", "caller path delivers"
+        )
+        assert custody_pairs(dsl) == custody_pairs(
+            check_deadline_propagation(graph)
+        )
 
 
 class TestCliExitCodeParity:
@@ -759,7 +981,7 @@ class TestAdn605ParallelFanout:
 
 
 class TestDiagnosticHygiene:
-    """Satellite: cross-variant dedupe + stable output ordering."""
+    """Stable output ordering, and every distinct finding reported."""
 
     def test_analysis_output_is_sorted_and_exact_dupe_free(self):
         from repro.lint.diagnostics import sort_key
@@ -775,41 +997,36 @@ class TestDiagnosticHygiene:
         ]
         assert len(exact) == len(set(exact))
 
-    def test_cross_variant_codes_collapse_per_element(self):
-        graph, _ = load_graph_spec("examples/retry_storm.graph.json")
-        diagnostics = analyze(graph).diagnostics
-        from repro.lint.diagnostics import CROSS_VARIANT_CODES
-
-        keyed = [
-            (d.code, d.element)
-            for d in diagnostics
-            if d.code in CROSS_VARIANT_CODES and d.element
+    def test_surplus_and_timeout_on_one_edge_both_report(self):
+        graph = (
+            GraphBuilder("g")
+            .edge("a", "b", deadline_budget_ms=10.0)
+            .edge("b", "c", deadline_budget_ms=50.0,
+                  per_attempt_timeout_ms=20.0)
+            .build()
+        )
+        findings = [
+            d for d in analyze(graph).diagnostics if d.code == "ADN602"
         ]
-        assert len(keyed) == len(set(keyed))
+        assert [d.element for d in findings] == ["b->c", "b->c"]
+        assert "budgets 50 ms" in findings[0].message
+        assert "allows 20 ms per attempt" in findings[1].message
 
-    def test_dedupe_prefers_higher_severity_variant(self):
-        from repro.lint.diagnostics import Diagnostic, dedupe_diagnostics
-
-        dsl_side = Diagnostic(
-            code="ADN601", severity=Severity.WARNING,
-            message="dsl wording", path="a.adn", element="storm",
+    def test_one_adn405_per_unbudgeted_parent(self, tmp_path, capsys):
+        graph = (
+            GraphBuilder("g")
+            .edge("a", "c")
+            .edge("b", "c")
+            .edge("c", "d", max_attempts=2, deadline_budget_ms=5.0)
+            .build()
         )
-        spec_side = Diagnostic(
-            code="ADN601", severity=Severity.ERROR,
-            message="spec wording", path="a.adn", element="storm",
-        )
-        kept = dedupe_diagnostics([dsl_side, spec_side])
-        assert kept == [spec_side]
-
-    def test_unrelated_codes_never_collapse(self):
-        from repro.lint.diagnostics import Diagnostic, dedupe_diagnostics
-
-        first = Diagnostic(
-            code="ADN700", severity=Severity.ERROR,
-            message="edge one", path="g.json", element="Metrics",
-        )
-        second = Diagnostic(
-            code="ADN700", severity=Severity.ERROR,
-            message="edge two", path="g.json", element="Metrics",
-        )
-        assert len(dedupe_diagnostics([first, second])) == 2
+        path = tmp_path / "topo.json"
+        path.write_text(graph.to_json())
+        main(["graph", str(path), "--no-place", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        messages = [
+            d["message"] for d in payload["lint"] if d["code"] == "ADN405"
+        ]
+        assert len(messages) == 2
+        assert "upstream edge a->c" in messages[0]
+        assert "upstream edge b->c" in messages[1]

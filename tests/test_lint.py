@@ -1,6 +1,9 @@
 """The ``adn-lint`` framework: engine, rule catalog, demo file, CLI."""
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +104,12 @@ class TestExplain:
     def test_cli_explain_needs_no_files(self, capsys):
         """--explain must not require positional lint targets."""
         assert main(["lint", "--explain", "ADN301"]) == 0
+
+    @pytest.mark.parametrize("code", ["ADN405", "ADN601", "ADN602"])
+    def test_graph_rule_example_finds_its_own_code(self, code):
+        from repro.lint.explain import EXAMPLES
+
+        assert code in codes_of(lint_source(EXAMPLES[code]))
 
 
 class TestFrontEndCapture:
@@ -506,3 +515,26 @@ class TestCheckJson:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["error"]["line"] == 2
+
+
+def test_lint_run_loads_no_graph_modules():
+    """The graph rules import repro.graph and repro.analysis.graph only
+    once a file has a multi-chain app; a lint run without one must not
+    pay for loading them."""
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "main(['lint', 'examples/lint_demo.adn', '--stdlib'])\n"
+        "print(sorted(m for m in sys.modules if m == 'repro.graph'\n"
+        "      or m.startswith('repro.graph.')\n"
+        "      or m == 'repro.analysis.graph'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=pathlib.Path(__file__).resolve().parent.parent,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == "[]"
