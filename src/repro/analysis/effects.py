@@ -36,7 +36,12 @@ from ..dsl.ast_nodes import Expr
 from ..dsl.functions import DEFAULT_REGISTRY, FunctionRegistry
 from ..dsl.printer import print_expr
 from ..dsl.span import Span
-from ..ir.expr_utils import collect_refs, is_deterministic
+from ..ir.expr_utils import (
+    collect_refs,
+    conjuncts,
+    is_deterministic,
+    references_table,
+)
 from ..ir.nodes import (
     AssignVar,
     DeleteRows,
@@ -52,11 +57,9 @@ from ..ir.replication import (
     AccessMode,
     ReplicationSafety,
     StateAccess,
-    _conjuncts,
     _is_commutative_assignment,
     _is_self_increment,
     _pins_all_keys,
-    _references_table,
 )
 
 #: update-function shapes, from most to least benign
@@ -249,7 +252,7 @@ def _walk_statement(
     for op in stmt.ops:
         if isinstance(op, FilterRows):
             guards.extend(
-                print_expr(conjunct) for conjunct in _conjuncts(op.predicate)
+                print_expr(conjunct) for conjunct in conjuncts(op.predicate)
             )
             _note_observable(op.predicate, observable)
         elif isinstance(op, JoinState):
@@ -433,7 +436,7 @@ def _update_site(
     keys = key_columns.get(op.table, frozenset())
     where_refs = collect_refs(op.where)
     guards = (
-        tuple(print_expr(c) for c in _conjuncts(op.where))
+        tuple(print_expr(c) for c in conjuncts(op.where))
         if op.where is not None
         else ()
     )
@@ -449,7 +452,7 @@ def _update_site(
         for column, expr in op.assignments
     )
     reads_table_values = any(
-        _references_table(expr, op.table)
+        references_table(expr, op.table)
         and not _is_commutative_assignment(op.table, column, expr)
         for column, expr in op.assignments
     )
@@ -492,7 +495,7 @@ def _var_site(
         op.where is None or is_deterministic(op.where, registry)
     )
     guards = (
-        tuple(print_expr(c) for c in _conjuncts(op.where))
+        tuple(print_expr(c) for c in conjuncts(op.where))
         if op.where is not None
         else ()
     )

@@ -9,15 +9,18 @@ factory. Generated modules satisfy the same contract as
 
 Unlike the interpreter, generated code accesses fields directly (no
 generic operator dispatch), mirroring how the real compiler specializes
-Rust code per element. The residual genericity — output tuples are
-materialized as fresh dicts per emit, join rows via table iteration — is
-what produces the paper's 3–12% gap versus hand-written modules, which
-skip materialization entirely.
+Rust code per element. A ``JOIN``, ``UPDATE`` or ``DELETE`` whose leading
+``==`` conjuncts pin every key column of its table fetches the one
+candidate row with :meth:`~repro.state.table.StateTable.lookup`; every
+other predicate, and every ``*_of`` aggregate, scans the table. The
+residual genericity — output tuples are materialized as fresh dicts per
+emit — is what produces the paper's 3–12% gap versus hand-written
+modules, which skip materialization entirely.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ...dsl.ast_nodes import (
     BinaryOp,
@@ -27,9 +30,21 @@ from ...dsl.ast_nodes import (
     FuncCall,
     Literal,
     UnaryOp,
+    StateDecl,
     VarRef,
 )
+from ...dsl.schema import FieldType
 from ...errors import BackendError
+from ...ir.expr_utils import (
+    TABLE_ARG_FUNCS,
+    collect_refs,
+    compare,
+    conjuncts,
+    key_pins,
+    references_table,
+    run_column_aggregate,
+    truthy,
+)
 from ...ir.nodes import (
     AdvanceInput,
     AssignVar,
@@ -179,11 +194,9 @@ class PythonBackend(Backend):
         registry = self.registry
 
         def factory(on_func_call=None):
-            from ...ir.expr_utils import run_column_aggregate
-
             namespace: Dict[str, object] = {
-                "_truthy": _truthy,
-                "_cmp": _cmp,
+                "_truthy": truthy,
+                "_cmp": compare,
                 "_agg": run_column_aggregate,
             }
             for func_name in _used_functions(element):
@@ -205,6 +218,7 @@ class PythonBackend(Backend):
     # -- code generation -----------------------------------------------------
 
     def _generate_source(self, element: ElementIR) -> str:
+        states = {decl.name: decl for decl in element.states}
         writer = _Writer()
         writer.line(f"class Module_{element.name}:")
         with writer.indent():
@@ -237,7 +251,7 @@ class PythonBackend(Backend):
                     else:
                         for index, stmt in enumerate(handler.statements):
                             writer.line(f"# statement {index}")
-                            self._generate_statement(stmt, writer)
+                            self._generate_statement(stmt, writer, states)
                     writer.line("return _emitted")
             writer.line("def process(self, row, kind):")
             with writer.indent():
@@ -281,7 +295,12 @@ class PythonBackend(Backend):
             if not emitted_any:
                 writer.line("pass")
 
-    def _generate_statement(self, stmt: StatementIR, writer: "_Writer") -> None:
+    def _generate_statement(
+        self,
+        stmt: StatementIR,
+        writer: "_Writer",
+        states: Dict[str, StateDecl],
+    ) -> None:
         ops = list(stmt.ops)
         if len(ops) == 1 and isinstance(ops[0], AdvanceInput):
             # fusion seam: the previous member's output becomes the input
@@ -293,7 +312,7 @@ class PythonBackend(Backend):
             writer.line("self.fused_progress += 1")
             return
         if ops and isinstance(ops[0], Scan):
-            self._generate_pipeline(ops, writer)
+            self._generate_pipeline(ops, writer, states)
             return
         # state-only statements
         for op in ops:
@@ -303,24 +322,32 @@ class PythonBackend(Backend):
                         f"_tables[{op.table!r}].insert_values({list(row_values)!r})"
                     )
             elif isinstance(op, UpdateRows):
-                self._generate_update(op, writer)
+                self._generate_update(op, writer, states[op.table])
             elif isinstance(op, DeleteRows):
-                self._generate_delete(op, writer)
+                self._generate_delete(op, writer, states[op.table])
             elif isinstance(op, AssignVar):
                 self._generate_assign(op, writer)
             else:
                 raise BackendError(f"unexpected op {op!r} outside pipeline")
 
-    def _generate_pipeline(self, ops: List[object], writer: "_Writer") -> None:
+    def _generate_pipeline(
+        self,
+        ops: List[object],
+        writer: "_Writer",
+        states: Dict[str, StateDecl],
+    ) -> None:
         """Scan → joins/filters → project → emit/insert as nested loops.
 
-        Each join opens a ``for`` loop over the state table with an inline
-        predicate guard; each filter opens an ``if`` block; the terminal
-        op appends to ``_emitted`` or inserts into a table at the current
-        nesting depth.
+        Each join opens a ``for`` loop over the table's rows, or over its
+        keyed lookup, with the whole predicate as a guard; each filter
+        opens an ``if`` block; the terminal op appends to ``_emitted`` or
+        inserts into a table at the current nesting depth.
         """
         joins: Dict[str, str] = {}
         compiler = _ExprCompiler("row", joins)
+        # a join over a table this pipeline inserts into keeps its scan:
+        # it iterates the live table, which the insert can grow
+        inserted = {op.table for op in ops if isinstance(op, InsertRows)}
         join_index = 0
         indents = 0
         for op in ops[1:]:
@@ -329,7 +356,13 @@ class PythonBackend(Backend):
                 var = f"_j{join_index}"
                 join_index += 1
                 joins[op.table] = var
-                writer.line(f"{prefix}for {var} in _tables[{op.table!r}].rows():")
+                key = (
+                    None
+                    if op.table in inserted
+                    else _lookup_key(op.on, states[op.table], compiler)
+                )
+                rows = "rows()" if key is None else f"lookup({key})"
+                writer.line(f"{prefix}for {var} in _tables[{op.table!r}].{rows}:")
                 indents += 1
                 writer.line(
                     "    " * indents
@@ -365,31 +398,51 @@ class PythonBackend(Backend):
             parts.append(f"{name!r}: {compiler.compile(expr)}")
         return "{" + ", ".join(parts) + "}"
 
-    def _generate_update(self, op: UpdateRows, writer: "_Writer") -> None:
-        joins = {op.table: "_srow"}
-        compiler = _ExprCompiler("row", joins)
+    def _generate_update(
+        self, op: UpdateRows, writer: "_Writer", decl: StateDecl
+    ) -> None:
+        compiler = _ExprCompiler("row", {op.table: "_srow"})
         where = (
             compiler.compile(op.where) if op.where is not None else "True"
         )
         assignments = ", ".join(
             f"{col!r}: {compiler.compile(expr)}" for col, expr in op.assignments
         )
-        writer.line(
-            f"_tables[{op.table!r}].update_where("
-            f"lambda _srow: _truthy({where}), "
-            f"lambda _srow: {{{assignments}}})"
-        )
+        key = _lookup_key(op.where, decl, compiler, write=True)
+        if key is None:
+            writer.line(
+                f"_tables[{op.table!r}].update_where("
+                f"lambda _srow: _truthy({where}), "
+                f"lambda _srow: {{{assignments}}})"
+            )
+            return
+        writer.line(f"_t = _tables[{op.table!r}]")
+        writer.line(f"for _srow in _t.lookup({key}):")
+        writer.line(f"    if _truthy({where}):")
+        writer.line(f"        _t.update_row(_srow, {{{assignments}}})")
 
-    def _generate_delete(self, op: DeleteRows, writer: "_Writer") -> None:
-        joins = {op.table: "_srow"}
-        compiler = _ExprCompiler("row", joins)
+    def _generate_delete(
+        self, op: DeleteRows, writer: "_Writer", decl: StateDecl
+    ) -> None:
+        compiler = _ExprCompiler("row", {op.table: "_srow"})
         where = (
             compiler.compile(op.where) if op.where is not None else "True"
         )
+        key = _lookup_key(op.where, decl, compiler, write=True)
+        if key is None:
+            writer.line(
+                f"_tables[{op.table!r}].delete_where("
+                f"lambda _srow: _truthy({where}))"
+            )
+            return
+        # like delete_where, test every candidate before deleting any
+        writer.line(f"_t = _tables[{op.table!r}]")
         writer.line(
-            f"_tables[{op.table!r}].delete_where("
-            f"lambda _srow: _truthy({where}))"
+            f"_doomed = [_srow for _srow in _t.lookup({key}) "
+            f"if _truthy({where})]"
         )
+        writer.line("for _srow in _doomed:")
+        writer.line("    _t.delete_row(_srow)")
 
     def _generate_assign(self, op: AssignVar, writer: "_Writer") -> None:
         compiler = _ExprCompiler("row", {})
@@ -401,26 +454,59 @@ class PythonBackend(Backend):
             writer.line(f"_vars[{op.var!r}] = {value}")
 
 
+# -- keyed access ---------------------------------------------------------------
+
+
+def _lookup_key(
+    predicate: Optional[Expr],
+    decl: StateDecl,
+    compiler: _ExprCompiler,
+    write: bool = False,
+) -> Optional[str]:
+    """The ``key_of`` argument of :meth:`StateTable.lookup` — a lambda
+    building the key tuple — when ``predicate`` over ``decl`` can start
+    from a keyed lookup; None keeps the scan.
+
+    Generated code still applies the whole predicate to the candidate,
+    so the lookup is sound when a scan would skip every other row with
+    no effect. That holds when:
+
+    * the table is keyed and no key column is a float (NaN makes ``==``
+      and dict lookup disagree); a write also needs a table that is
+      not append-only, where ``update_where``/``delete_where`` raise
+      even when no row matches;
+    * the leading conjuncts pin every key column to an expression that
+      neither reads the table nor counts or aggregates it — the scan's
+      ``and`` then stops on a non-matching row before anything else;
+    * no conjunct calls a registry function, which a scan would call
+      (and charge to the simulated CPU) once per row.
+    """
+    keys = [col.name for col in decl.columns if col.is_key]
+    if (
+        predicate is None
+        or not keys
+        or (write and decl.append_only)
+        or any(col.is_key and col.type is FieldType.FLOAT for col in decl.columns)
+        or collect_refs(predicate).functions - TABLE_ARG_FUNCS
+    ):
+        return None
+    pinned: Dict[str, Expr] = {}
+    for conjunct in conjuncts(predicate):
+        pins = [
+            (column, expr)
+            for _conjunct, column, expr in key_pins(conjunct, decl.name, keys)
+            if not references_table(expr, decl.name)
+        ]
+        if not pins:
+            break
+        pinned.setdefault(*pins[0])
+    if not set(keys) <= set(pinned):
+        return None
+    values = ", ".join(compiler.compile(pinned[key]) for key in keys)
+    return f"lambda: ({values},)"
+
+
 # -- runtime helpers shared with generated code ------------------------------
-
-
-def _truthy(value: object) -> bool:
-    if value is None:
-        return False
-    return bool(value)
-
-
-def _cmp(left: object, right: object, op: str) -> bool:
-    if left is None or right is None:
-        return False
-    return {
-        "==": left == right,
-        "!=": left != right,
-        "<": left < right,
-        "<=": left <= right,
-        ">": left > right,
-        ">=": left >= right,
-    }[op]
 
 
 def _wrap_func(spec, on_func_call):
@@ -458,30 +544,20 @@ class _Writer:
     def line(self, text: str) -> None:
         self._lines.append("    " * self._depth + text)
 
-    def pop_line(self) -> str:
-        return self._lines.pop()
-
-    def rewrite_last_as_guard(self) -> None:  # kept for API symmetry
-        pass
-
     def text(self) -> str:
         return "\n".join(self._lines) + "\n"
 
     def indent(self) -> "_IndentContext":
         return _IndentContext(self)
 
-    def indented_block(self, extra: int) -> "_IndentContext":
-        return _IndentContext(self, extra)
-
 
 class _IndentContext:
-    def __init__(self, writer: _Writer, extra: int = 1):
+    def __init__(self, writer: _Writer):
         self.writer = writer
-        self.extra = extra
 
     def __enter__(self) -> "_IndentContext":
-        self.writer._depth += self.extra
+        self.writer._depth += 1
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.writer._depth -= self.extra
+        self.writer._depth -= 1

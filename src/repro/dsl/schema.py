@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..errors import DslValidationError
 
@@ -70,6 +70,18 @@ _PYTHON_TYPES: Dict[str, type] = {
     "float": float,
     "bool": bool,
     "bytes": bytes,
+}
+
+_NUMBERS = frozenset({int, float, bool})
+
+#: For each field value type, the value types it orders against without
+#: raising: numbers with numbers, str and bytes each only with itself
+COMPARABLE_TYPES: Dict[type, FrozenSet[type]] = {
+    int: _NUMBERS,
+    float: _NUMBERS,
+    bool: _NUMBERS,
+    str: frozenset({str}),
+    bytes: frozenset({bytes}),
 }
 
 

@@ -98,15 +98,16 @@ def _verr(message: str, node: object = None) -> DslValidationError:
 
 
 _NUMERIC = (FieldType.INT, FieldType.FLOAT)
-_KNOWN_OPERATORS = frozenset(
-    {
-        "retry",
-        "timeout",
-        "rate_limit_shaper",
-        "congestion_control",
-        "circuit_breaker",
-    }
-)
+#: filter operator -> the meta keys its runtime reads as numbers
+#: (``int()``/``float()`` in :func:`repro.runtime.filters.apply_filter`)
+_OPERATOR_NUMERIC_META = {
+    "retry": ("max_retries", "timeout_ms", "backoff_ms", "deadline_budget_ms"),
+    "timeout": ("timeout_ms",),
+    "rate_limit_shaper": ("rate",),
+    "congestion_control": ("window",),
+    "circuit_breaker": ("failure_threshold", "reset_ms"),
+}
+_KNOWN_OPERATORS = frozenset(_OPERATOR_NUMERIC_META)
 
 
 @dataclass
@@ -688,13 +689,24 @@ def validate_element(
 
 
 def validate_filter(filter_def: FilterDef) -> FilterDef:
-    """Check a filter element binds to a known operator."""
+    """Check a filter element binds to a known operator, and that every
+    meta value its runtime reads as a number is one."""
     if filter_def.operator not in _KNOWN_OPERATORS:
         raise _verr(
             f"filter {filter_def.name!r}: unknown operator "
             f"{filter_def.operator!r} (known: {sorted(_KNOWN_OPERATORS)})",
             filter_def,
         )
+    for key in _OPERATOR_NUMERIC_META[filter_def.operator]:
+        value = filter_def.meta.get(key)
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
+            raise _verr(
+                f"filter {filter_def.name!r}: meta {key!r} must be a "
+                f"number, got {value!r}",
+                filter_def,
+            )
     return filter_def
 
 

@@ -19,9 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
-from ..dsl.ast_nodes import BinaryOp, ColumnRef, Expr
+from ..dsl.ast_nodes import Expr
 from ..dsl.functions import DEFAULT_REGISTRY, FunctionRegistry
-from .expr_utils import collect_refs, expr_cost_us, is_deterministic, op_count
+from .expr_utils import (
+    collect_refs,
+    expr_cost_us,
+    is_deterministic,
+    key_pins,
+    op_count,
+)
 from .nodes import (
     AdvanceInput,
     AssignVar,
@@ -273,40 +279,15 @@ def _join_is_unique(
     op: JoinState, key_columns: Dict[str, Tuple[str, ...]]
 ) -> bool:
     """True when the join predicate pins every key column of the table to
-    a value independent of the table, so at most one row can match."""
+    a value that reads no column of it, so at most one row can match
+    (``count(table)`` may appear: it is the same for every row)."""
     keys = set(key_columns.get(op.table, ()))
-    if not keys:
-        return False
-    pinned: Set[str] = set()
-    for conjunct in _conjuncts(op.on):
-        if not (isinstance(conjunct, BinaryOp) and conjunct.op == "=="):
-            continue
-        for side, other in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if (
-                isinstance(side, ColumnRef)
-                and side.table == op.table
-                and side.name in keys
-                and not _references_table(other, op.table)
-            ):
-                pinned.add(side.name)
-    return pinned >= keys
-
-
-def _conjuncts(expr: Expr):
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
-
-
-def _references_table(expr: Expr, table: str) -> bool:
-    return any(
-        tbl == table for tbl, _ in collect_refs(expr).table_columns
-    )
+    pinned = {
+        column
+        for _conjunct, column, expr in key_pins(op.on, op.table, keys)
+        if all(tbl != op.table for tbl, _ in collect_refs(expr).table_columns)
+    }
+    return bool(keys) and pinned >= keys
 
 
 def _analyze_statement(

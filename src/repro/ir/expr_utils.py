@@ -8,8 +8,9 @@ with None are False; arithmetic with None raises".
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Iterator, Optional, Set, Tuple
 
 from ..dsl.ast_nodes import (
     BinaryOp,
@@ -22,6 +23,7 @@ from ..dsl.ast_nodes import (
     VarRef,
 )
 from ..dsl.functions import FunctionRegistry
+from ..dsl.schema import COMPARABLE_TYPES
 from ..errors import RuntimeFault
 
 #: Functions whose first argument is a state-table *name*, not a value.
@@ -112,6 +114,56 @@ def collect_refs(expr: Optional[Expr]) -> ExprRefs:
     return refs
 
 
+def references_table(expr: Optional[Expr], table: str) -> bool:
+    """True when ``expr`` reads a column of ``table`` or passes the table
+    to ``count``/``contains``/``*_of``."""
+    if expr is None:
+        return False
+    refs = collect_refs(expr)
+    if table in refs.tables_counted:
+        return True
+    return any(tbl == table for tbl, _ in refs.table_columns)
+
+
+def conjuncts(expr: Expr) -> Iterator[Expr]:
+    """The operands of an ``AND`` chain, left to right."""
+    if isinstance(expr, BinaryOp) and expr.op == "and":
+        yield from conjuncts(expr.left)
+        yield from conjuncts(expr.right)
+    else:
+        yield expr
+
+
+def key_pins(
+    predicate: Optional[Expr], table: str, keys: Collection[str]
+) -> Iterator[Tuple[Expr, str, Expr]]:
+    """The key-pinning walk: each conjunct of ``predicate``'s ``AND``
+    chain that equates a key column of ``table`` with an expression,
+    in order, as ``(conjunct, column, expression)``.
+
+    Either side of the ``==`` may be the column. The expression may
+    still read the table; each reader applies its own test to it:
+    unique-join detection (:mod:`repro.ir.analysis`), the replication
+    and effect classifiers (:mod:`repro.ir.replication`), and keyed
+    lookups in the Python backend.
+    """
+    if predicate is None:
+        return
+    for conjunct in conjuncts(predicate):
+        if not (isinstance(conjunct, BinaryOp) and conjunct.op == "=="):
+            continue
+        for side, other in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if (
+                isinstance(side, ColumnRef)
+                and side.table == table
+                and side.name in keys
+            ):
+                yield conjunct, side.name, other
+
+
 @dataclass
 class EvalEnv:
     """Everything an expression needs to evaluate.
@@ -156,7 +208,7 @@ def evaluate(expr: Expr, env: EvalEnv) -> object:
     if isinstance(expr, UnaryOp):
         value = evaluate(expr.operand, env)
         if expr.op == "not":
-            return not _truthy(value)
+            return not truthy(value)
         if expr.op == "-":
             try:
                 return -value  # type: ignore[operator]
@@ -169,7 +221,7 @@ def evaluate(expr: Expr, env: EvalEnv) -> object:
         return _eval_binary(expr, env)
     if isinstance(expr, CaseExpr):
         for condition, value in expr.whens:
-            if _truthy(evaluate(condition, env)):
+            if truthy(evaluate(condition, env)):
                 return evaluate(value, env)
         if expr.default is not None:
             return evaluate(expr.default, env)
@@ -237,45 +289,68 @@ def _call_function(call: FuncCall, env: EvalEnv) -> object:
     return result
 
 
-def _truthy(value: object) -> bool:
+def truthy(value: object) -> bool:
     """SQL-ish truth: None is false, everything else by Python rules."""
     if value is None:
         return False
     return bool(value)
 
 
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def compare(left: object, right: object, op: str, span=None) -> bool:
+    """A DSL comparison, shared by the interpreter and generated code.
+
+    A NULL operand makes every comparison false (three-valued logic
+    simplified to two). Operands that do not order against each other
+    fault with a :class:`RuntimeFault`, even under ``==`` and ``!=``:
+    the DSL has always evaluated a comparison as all six operators at
+    once, so ``'a' == 1`` faults because ``'a' < 1`` does.
+    """
+    if left is None or right is None:
+        return False
+    if type(right) in COMPARABLE_TYPES.get(type(left), ()):
+        return _COMPARISONS[op](left, right)
+    try:
+        results = {
+            "==": left == right,
+            "!=": left != right,
+            "<": left < right,  # type: ignore[operator]
+            "<=": left <= right,  # type: ignore[operator]
+            ">": left > right,  # type: ignore[operator]
+            ">=": left >= right,  # type: ignore[operator]
+        }
+    except TypeError:
+        raise RuntimeFault(
+            f"cannot compare {type(left).__name__} with "
+            f"{type(right).__name__}",
+            span=span,
+        ) from None
+    return results[op]
+
+
 def _eval_binary(expr: BinaryOp, env: EvalEnv) -> object:
     op = expr.op
     if op == "and":
-        return _truthy(evaluate(expr.left, env)) and _truthy(
+        return truthy(evaluate(expr.left, env)) and truthy(
             evaluate(expr.right, env)
         )
     if op == "or":
-        return _truthy(evaluate(expr.left, env)) or _truthy(
+        return truthy(evaluate(expr.left, env)) or truthy(
             evaluate(expr.right, env)
         )
     left = evaluate(expr.left, env)
     right = evaluate(expr.right, env)
-    if op in ("==", "!=", "<", "<=", ">", ">="):
-        if left is None or right is None:
-            # SQL NULL comparisons are never true (NULL != x is also false
-            # here; we simplify three-valued logic to two-valued)
-            return False
-        try:
-            return {
-                "==": left == right,
-                "!=": left != right,
-                "<": left < right,
-                "<=": left <= right,
-                ">": left > right,
-                ">=": left >= right,
-            }[op]
-        except TypeError:
-            raise RuntimeFault(
-                f"cannot compare {type(left).__name__} with "
-                f"{type(right).__name__}",
-                span=expr.span,
-            ) from None
+    if op in _COMPARISONS:
+        return compare(left, right, op, expr.span)
     if left is None or right is None:
         raise RuntimeFault(f"arithmetic {op!r} on NULL", span=expr.span)
     try:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 from ..dsl.functions import DEFAULT_REGISTRY, FunctionRegistry
 from ..errors import RuntimeFault
 from ..state.table import StateStore, StateTable
-from .expr_utils import EvalEnv, _truthy, evaluate
+from .expr_utils import EvalEnv, evaluate, truthy
 from .nodes import (
     AdvanceInput,
     AssignVar,
@@ -130,7 +130,7 @@ class ElementInstance:
                 rows = [
                     row
                     for row in rows
-                    if _truthy(evaluate(op.predicate, self._env(row)))
+                    if truthy(evaluate(op.predicate, self._env(row)))
                 ]
             elif isinstance(op, Project):
                 rows = [self._project(row, op) for row in rows]
@@ -167,7 +167,7 @@ class ElementInstance:
                 candidate = dict(row)
                 for column, value in state_row.items():
                     candidate[(op.table, column)] = value
-                if _truthy(evaluate(op.on, self._env(candidate))):
+                if truthy(evaluate(op.on, self._env(candidate))):
                     joined.append(candidate)
         return joined
 
@@ -200,7 +200,7 @@ class ElementInstance:
         def predicate(state_row: Row) -> bool:
             if op.where is None:
                 return True
-            return _truthy(
+            return truthy(
                 evaluate(op.where, self._row_env(table, state_row, input_row))
             )
 
@@ -216,7 +216,7 @@ class ElementInstance:
         def predicate(state_row: Row) -> bool:
             if op.where is None:
                 return True
-            return _truthy(
+            return truthy(
                 evaluate(op.where, self._row_env(table, state_row, input_row))
             )
 
@@ -224,7 +224,7 @@ class ElementInstance:
 
     def _assign(self, op: AssignVar, input_row: Row) -> None:
         env = self._env(dict(input_row))
-        if op.where is not None and not _truthy(evaluate(op.where, env)):
+        if op.where is not None and not truthy(evaluate(op.where, env)):
             return
         self.state.vars[op.var] = evaluate(op.expr, env)
 

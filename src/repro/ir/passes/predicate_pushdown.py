@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ...dsl.ast_nodes import BinaryOp, Expr
-from ..expr_utils import collect_refs
+from ..expr_utils import collect_refs, conjuncts
 from ..nodes import (
     ElementIR,
     FilterRows,
@@ -22,12 +22,6 @@ from ..nodes import (
     Scan,
     StatementIR,
 )
-
-
-def _conjuncts(expr: Expr) -> List[Expr]:
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
 
 
 def _conjoin(parts: List[Expr]) -> Optional[Expr]:
@@ -56,7 +50,7 @@ def _pushdown_statement(stmt: StatementIR) -> StatementIR:
     early: List[Expr] = []
     late: List[Expr] = []
     for filter_op in filters:
-        for conjunct in _conjuncts(filter_op.predicate):
+        for conjunct in conjuncts(filter_op.predicate):
             (early if _input_only(conjunct) else late).append(conjunct)
     if not early:
         return stmt

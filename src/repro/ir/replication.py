@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..dsl.ast_nodes import BinaryOp, ColumnRef, Expr, VarRef
 from ..dsl.span import Span
-from .expr_utils import collect_refs
+from .expr_utils import collect_refs, key_pins, references_table
 from .nodes import (
     AssignVar,
     DeleteRows,
@@ -124,50 +124,21 @@ class ReplicationSafety:
         return out
 
 
-# -- expression helpers (local copies: analysis.py imports this module) ---
-
-
-def _conjuncts(expr: Expr):
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
-
-
-def _references_table(expr: Optional[Expr], table: str) -> bool:
-    if expr is None:
-        return False
-    refs = collect_refs(expr)
-    if table in refs.tables_counted:
-        return True
-    return any(tbl == table for tbl, _ in refs.table_columns)
+# -- expression helpers ---------------------------------------------------
 
 
 def _pins_all_keys(
     predicate: Optional[Expr], table: str, keys: Set[str]
 ) -> bool:
     """True when ``predicate`` pins every key column of ``table`` by
-    equality to a table-independent expression — the same per-key test
-    used by unique-join detection, applied to any WHERE/ON clause."""
-    if not keys or predicate is None:
-        return False
-    pinned: Set[str] = set()
-    for conjunct in _conjuncts(predicate):
-        if not (isinstance(conjunct, BinaryOp) and conjunct.op == "=="):
-            continue
-        for side, other in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if (
-                isinstance(side, ColumnRef)
-                and side.table == table
-                and side.name in keys
-                and not _references_table(other, table)
-            ):
-                pinned.add(side.name)
-    return pinned >= keys
+    equality to a table-independent expression: one that neither reads
+    a column of the table nor counts or aggregates it."""
+    pinned = {
+        column
+        for _conjunct, column, expr in key_pins(predicate, table, keys)
+        if not references_table(expr, table)
+    }
+    return bool(keys) and pinned >= keys
 
 
 def _is_commutative_assignment(
@@ -184,7 +155,7 @@ def _is_commutative_assignment(
         and left.name == column
     ):
         return False
-    return not _references_table(right, table)
+    return not references_table(right, table)
 
 
 def _is_self_increment(var: str, expr: Expr) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..control.placement import ClusterSpec
-from ..dsl.ast_nodes import ElementDef, Program
+from ..dsl.ast_nodes import ElementDef, FilterDef, Program
 from ..dsl.functions import DEFAULT_REGISTRY, FunctionRegistry
 from ..dsl.parser import parse
 from ..dsl.schema import RpcSchema
@@ -58,6 +58,7 @@ class LintContext:
     stdlib: Program
     #: own definitions that passed validation, by name
     elements: Dict[str, ElementDef] = field(default_factory=dict)
+    filters: Dict[str, FilterDef] = field(default_factory=dict)
     #: lowered IR for every valid element (own + chain-referenced stdlib)
     irs: Dict[str, ElementIR] = field(default_factory=dict)
     #: analyses (with ``replication`` attached) for every IR above
@@ -213,10 +214,9 @@ def _validate_front_end(context: LintContext, result: LintResult) -> None:
                     "skip this element until it validates",
                 )
             )
-    filters = {}
     for name, filter_def in context.program.filters.items():
         try:
-            filters[name] = validate_filter(filter_def)
+            context.filters[name] = validate_filter(filter_def)
         except DslValidationError as error:
             result.diagnostics.append(
                 context.diag(
@@ -230,7 +230,7 @@ def _validate_front_end(context: LintContext, result: LintResult) -> None:
     # apps are validated against the stdlib-merged namespace so chains
     # may reference stdlib elements without redefining them
     resolution = context.stdlib.merged(
-        Program(elements=context.elements, filters=filters)
+        Program(elements=context.elements, filters=context.filters)
     )
     for name, app in context.program.apps.items():
         try:

@@ -31,11 +31,10 @@ if TYPE_CHECKING:
 
 
 def _resolution(context) -> Program:
-    """Own definitions over the run's stdlib (empty when disabled) — the
-    same namespace app chains validate against."""
-    own = Program(
-        elements=context.program.elements, filters=context.program.filters
-    )
+    """Own elements and valid own filters over the run's stdlib (empty
+    when disabled): an invalid filter's meta never reaches the lowering
+    (its ADN102 already reports it)."""
+    own = Program(elements=context.program.elements, filters=context.filters)
     return context.stdlib.merged(own)
 
 

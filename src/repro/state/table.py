@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dsl.ast_nodes import StateDecl
+from ..dsl.schema import COMPARABLE_TYPES
 from ..errors import StateError
 
 Row = Dict[str, object]
@@ -62,6 +63,13 @@ class StateTable:
             col.name for col in decl.columns if col.is_key
         )
         self.append_only = decl.append_only
+        #: per key column, the value types a lookup may hash against it
+        #: (the ones ``==`` compares without faulting)
+        self._key_types: Tuple[frozenset, ...] = tuple(
+            COMPARABLE_TYPES[col.type.python_type]
+            for col in decl.columns
+            if col.is_key
+        )
         self._by_key: Dict[Tuple[object, ...], Row] = {}
         self._rows: List[Row] = []  # for bag / append-only tables
         self._delta_log: Optional[List[Delta]] = None
@@ -117,6 +125,34 @@ class StateTable:
             raise StateError(f"get() on unkeyed table {self.name!r}")
         return self._by_key.get(tuple(key))
 
+    def lookup(self, key_of: Callable[[], Tuple[object, ...]]) -> Iterable[Row]:
+        """The rows a predicate whose leading ``==`` conjuncts pin every
+        key column to ``key_of()`` can match, in scan order; generated
+        code applies the whole predicate to each.
+
+        That is at most the one row stored under the key, found with one
+        dict lookup, or none when the table is empty (``key_of`` is not
+        called, as a scan would not evaluate the predicate) or a key
+        value is NULL (NULL ``==`` anything is false). When the key
+        cannot stand in for the comparisons, every row is returned and
+        the predicate faults exactly where a scan would: ``key_of``
+        raised, or a value's type does not compare with its column's.
+        """
+        if not self._by_key:
+            return ()
+        try:
+            key = key_of()
+        except Exception:
+            return self.rows()
+        null = False
+        for value, types in zip(key, self._key_types):
+            if value is None:
+                null = True
+            elif type(value) not in types:
+                return self.rows()
+        row = None if null else self._by_key.get(key)
+        return () if row is None else (row,)
+
     # -- mutations ------------------------------------------------------
 
     def insert(self, row: Row) -> None:
@@ -154,47 +190,59 @@ class StateTable:
             raise StateError(f"update on append-only table {self.name!r}")
         changed = 0
         for row in list(self.rows()):
-            if not predicate(row):
-                continue
-            new_values = updater(row)
-            if any(col in self.key_columns for col in new_values):
-                raise StateError(
-                    f"table {self.name!r}: updating key columns is not allowed"
-                )
-            before = dict(row)
-            row.update(new_values)
-            self._check_row(row)
-            changed += 1
-            self._log(Delta.of("update", row))
-            if self.observer is not None and before != row:
-                self.observer.on_update(self, before, dict(row))
+            if predicate(row):
+                self.update_row(row, updater(row))
+                changed += 1
         return changed
+
+    def update_row(self, row: Row, new_values: Dict[str, object]) -> None:
+        """Update one row of this table in place: the per-row body of
+        :meth:`update_where`, which keyed-lookup code calls directly."""
+        if self.append_only:
+            raise StateError(f"update on append-only table {self.name!r}")
+        if any(col in self.key_columns for col in new_values):
+            raise StateError(
+                f"table {self.name!r}: updating key columns is not allowed"
+            )
+        before = dict(row)
+        row.update(new_values)
+        self._check_row(row)
+        self._log(Delta.of("update", row))
+        if self.observer is not None and before != row:
+            self.observer.on_update(self, before, dict(row))
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> int:
         """Delete rows matching ``predicate``; returns the count."""
         if self.append_only:
             raise StateError(f"delete on append-only table {self.name!r}")
-        removed = 0
         if self.keyed:
-            doomed = [k for k, row in self._by_key.items() if predicate(row)]
-            for key in doomed:
-                self._log(Delta.of("delete", self._by_key[key]))
-                if self.observer is not None:
-                    self.observer.on_delete(self, self._by_key[key])
-                del self._by_key[key]
-            removed = len(doomed)
-        else:
-            kept: List[Row] = []
-            for row in self._rows:
-                if predicate(row):
-                    self._log(Delta.of("delete", row))
-                    if self.observer is not None:
-                        self.observer.on_delete(self, row)
-                    removed += 1
-                else:
-                    kept.append(row)
-            self._rows = kept
+            doomed = [row for row in self._by_key.values() if predicate(row)]
+            for row in doomed:
+                self.delete_row(row)
+            return len(doomed)
+        removed = 0
+        kept: List[Row] = []
+        for row in self._rows:
+            if predicate(row):
+                self._note_delete(row)
+                removed += 1
+            else:
+                kept.append(row)
+        self._rows = kept
         return removed
+
+    def delete_row(self, row: Row) -> None:
+        """Delete one row of a keyed table: the per-row body of
+        :meth:`delete_where`, which keyed-lookup code calls directly."""
+        if self.append_only:
+            raise StateError(f"delete on append-only table {self.name!r}")
+        self._note_delete(row)
+        del self._by_key[self._key_of(row)]
+
+    def _note_delete(self, row: Row) -> None:
+        self._log(Delta.of("delete", row))
+        if self.observer is not None:
+            self.observer.on_delete(self, row)
 
     def clear(self) -> None:
         self._by_key.clear()

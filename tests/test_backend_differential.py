@@ -37,7 +37,8 @@ from repro.dsl.parser import parse
 from repro.dsl.validator import validate_program
 from repro.ir.analysis import analyze_element
 from repro.ir.builder import build_element_ir
-from repro.ir.expr_utils import TABLE_ARG_FUNCS
+from repro.errors import RuntimeFault
+from repro.ir.expr_utils import TABLE_ARG_FUNCS, compare, truthy
 from repro.ir.interp import ElementInstance
 from repro.ir.nodes import AdvanceInput
 from repro.ir.optimizer import OptimizerOptions
@@ -385,6 +386,133 @@ class TestKeyedSemantics:
             [{"obj_id": 1}, {"obj_id": 3}, {"obj_id": None}],
         )
         assert snapshot["tables"]["t"] == [{"k": 2, "v": 1}, {"k": 3, "v": 0}]
+
+
+class TestLookupOrScan:
+    """Which predicates the backend answers from the key."""
+
+    @pytest.mark.parametrize(
+        "name", ["Metrics", "GlobalQuota", "Acl", "AccessControl", "Router",
+                 "LbRoundRobin"]
+    )
+    def test_key_pinned_stdlib_statements_are_lookups(self, name):
+        source = _artifact(name).source
+        assert ".lookup(lambda: (" in source
+        assert "update_where(" not in source
+        assert ".rows()" not in source
+
+    def test_fused_elements_keep_their_lookups(self):
+        fused = _artifact("Metrics__GlobalQuota__Cache").source
+        assert fused.count(".lookup(") == 2
+        assert ".lookup(" in _artifact("Logging__Fault__Acl").source
+
+    @pytest.mark.parametrize(
+        "state, body", [NULL_KEY, ONE_KEY, TWO_KEYS, KEYED_DELETE]
+    )
+    def test_synthetic_key_pins_are_lookups(self, state, body):
+        source = _element(state, body)[0].source
+        assert "_tables['t'].lookup(" not in source  # bound to _t first
+        assert "_t.lookup(lambda: (" in source
+        assert "_where(" not in source
+
+    def test_keyed_delete_deletes_through_the_row_method(self):
+        source = _artifact("KeyedWrites").source
+        assert "delete_where(" not in source
+        assert source.count("_t.delete_row(_srow)") == 2
+
+    def test_lb_key_hash_stays_a_scan(self):
+        # its pin counts the table and calls hash(): both need the scan
+        assert "_tables['endpoints'].rows()" in _artifact("LbKeyHash").source
+
+    def test_unkeyed_table_stays_a_scan(self):
+        own = parse((EXAMPLES / "lint_demo.adn").read_text())
+        program = validate_program(load_stdlib().merged(own), schema=SCHEMA)
+        ir = _unoptimized(program.elements["LintDemo"])
+        source = PythonBackend(REGISTRY).emit(ir).source
+        assert "_tables['quota'].update_where(" in source
+
+    @pytest.mark.parametrize(
+        "state, body",
+        [
+            # NaN makes == and a dict lookup disagree
+            ("t (k: float KEY, v: int)",
+             "UPDATE t SET v = v + 1 WHERE k == 1.5;"),
+            # the pin does not lead: the residual runs on every row
+            ("t (k: int KEY, v: int)",
+             "UPDATE t SET v = v + 1 WHERE v > 0 AND k == input.obj_id;"),
+            # only part of the key is pinned
+            ("t (k: int KEY, u: str KEY, v: int)",
+             "UPDATE t SET v = v + 1 WHERE k == input.obj_id;"),
+            # a registry call is charged once per scanned row
+            ("t (k: int KEY, v: int)",
+             "UPDATE t SET v = v + 1 "
+             "WHERE k == input.obj_id AND len(input.payload) > v;"),
+            # the pin counts the table it pins
+            ("t (k: int KEY, v: int)",
+             "UPDATE t SET v = v + 1 WHERE k == count(t);"),
+        ],
+    )
+    def test_predicates_that_stay_scans(self, state, body):
+        source = _element(state, body)[0].source
+        assert "_tables['t'].update_where(" in source
+        assert ".lookup(" not in source
+
+
+# -- one comparison for both runtimes -----------------------------------------------
+
+
+def _eager(left, right, op):
+    """The comparison both runtimes used to inline: all six at once."""
+    if left is None or right is None:
+        return False
+    return {
+        "==": left == right,
+        "!=": left != right,
+        "<": left < right,
+        "<=": left <= right,
+        ">": left > right,
+        ">=": left >= right,
+    }[op]
+
+
+MATRIX = [None, 0, 1, -2, 2**70, 1.0, 0.5, float("nan"), True, False,
+          "", "a", "1", b"", b"a"]
+
+
+class TestSharedComparison:
+    @pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+    def test_compare_matches_the_eager_table(self, op):
+        for left in MATRIX:
+            for right in MATRIX:
+                try:
+                    want = _eager(left, right, op)
+                except TypeError:
+                    want = "fault"
+                try:
+                    got = compare(left, right, op)
+                except RuntimeFault:
+                    got = "fault"
+                assert got == want, (left, op, right)
+
+    def test_mismatched_equality_faults(self):
+        with pytest.raises(RuntimeFault, match="cannot compare str with int"):
+            compare("a", 1, "==")
+
+    def test_generated_code_binds_the_shared_helpers(self):
+        instance = _artifact("Acl").factory()
+        namespace = type(instance).on_request.__globals__
+        assert namespace["_cmp"] is compare
+        assert namespace["_truthy"] is truthy
+
+    def test_both_runtimes_fault_alike_on_a_mismatched_comparison(self):
+        artifact, ir = _element(
+            "t (k: int KEY, v: int)",
+            "UPDATE t SET v = 1 WHERE input.username == 'a';",
+        )
+        for instance in (artifact.factory(), ElementInstance(ir, REGISTRY)):
+            instance.state.table("t").insert({"k": 1, "v": 0})
+            with pytest.raises(RuntimeFault, match="cannot compare int with str"):
+                instance.process({"username": 5}, "request")
 
 
 # -- static facts fed by the key-pinning walk -----------------------------------

@@ -499,6 +499,25 @@ class TestLintCli:
         assert "ADN101" in capsys.readouterr().out
 
 
+    def test_bad_filter_meta_is_adn102_not_a_traceback(self, tmp_path, capsys):
+        # a multi-chain app lowers its retry filters' max_retries with
+        # int(); the validator must reject the value before that
+        bad = tmp_path / "bad_meta.adn"
+        bad.write_text(
+            """
+filter R { meta { max_retries: "x"; } use operator retry; }
+app A {
+    service front; service mid; service back;
+    chain front -> mid { R, Logging }
+    chain mid -> back { Logging }
+}
+"""
+        )
+        assert main(["lint", str(bad), "--stdlib"]) == 1
+        out = capsys.readouterr().out
+        assert "ADN102: filter 'R': meta 'max_retries' must be a number" in out
+
+
 class TestCheckJson:
     def test_check_json_ok(self, capsys):
         assert main(["check", DEMO, "--format", "json"]) == 0

@@ -350,6 +350,37 @@ class TestProgramValidation:
         with pytest.raises(DslValidationError, match="unknown operator"):
             validate_filter(program.filters["F"])
 
+    @pytest.mark.parametrize(
+        "operator, key",
+        [
+            ("retry", "max_retries"),
+            ("retry", "timeout_ms"),
+            ("retry", "backoff_ms"),
+            ("retry", "deadline_budget_ms"),
+            ("timeout", "timeout_ms"),
+            ("rate_limit_shaper", "rate"),
+            ("congestion_control", "window"),
+            ("circuit_breaker", "failure_threshold"),
+            ("circuit_breaker", "reset_ms"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ['"x"', "true", "fast"])
+    def test_filter_numeric_meta_must_be_a_number(self, operator, key, value):
+        # the runtime converts these with int()/float(); a string or a
+        # bool is a validation error, not a crash in a later analysis
+        program = parse(
+            f"filter F {{ meta {{ {key}: {value}; }} use operator {operator}; }}"
+        )
+        with pytest.raises(DslValidationError, match=f"meta '{key}' must be"):
+            validate_filter(program.filters["F"])
+
+    def test_filter_numeric_meta_accepts_numbers(self):
+        program = parse(
+            "filter F { meta { max_retries: 2; timeout_ms: 5.0; "
+            "retry_on: 'timeout'; } use operator retry; }"
+        )
+        assert validate_filter(program.filters["F"]) is program.filters["F"]
+
     def test_app_unknown_service(self):
         program = parse(
             """
