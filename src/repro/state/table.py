@@ -130,13 +130,14 @@ class StateTable:
         key column to ``key_of()`` can match, in scan order; generated
         code applies the whole predicate to each.
 
-        That is at most the one row stored under the key, found with one
-        dict lookup, or none when the table is empty (``key_of`` is not
-        called, as a scan would not evaluate the predicate) or a key
-        value is NULL (NULL ``==`` anything is false). When the key
-        cannot stand in for the comparisons, every row is returned and
-        the predicate faults exactly where a scan would: ``key_of``
-        raised, or a value's type does not compare with its column's.
+        That is the one row stored under the key, found with one dict
+        lookup (a row stored under a NULL key comes back too, and the
+        predicate rejects it: NULL ``==`` anything is false), or none.
+        ``key_of`` is not called on an empty table, which a scan would
+        not evaluate the predicate on. When the key cannot stand in for
+        the comparisons, every row is returned and the predicate faults
+        exactly where a scan would: ``key_of`` raised, or no row matched
+        and a value's type does not compare with its column's.
         """
         if not self._by_key:
             return ()
@@ -144,14 +145,15 @@ class StateTable:
             key = key_of()
         except Exception:
             return self.rows()
-        null = False
+        row = self._by_key.get(key)
+        if row is not None:
+            # equal to a stored key, so every value compares with its
+            # column (or is NULL, which compares false without faulting)
+            return (row,)
         for value, types in zip(key, self._key_types):
-            if value is None:
-                null = True
-            elif type(value) not in types:
+            if value is not None and type(value) not in types:
                 return self.rows()
-        row = None if null else self._by_key.get(key)
-        return () if row is None else (row,)
+        return ()
 
     # -- mutations ------------------------------------------------------
 
