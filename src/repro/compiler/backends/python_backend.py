@@ -401,14 +401,10 @@ class PythonBackend(Backend):
     def _generate_update(
         self, op: UpdateRows, writer: "_Writer", decl: StateDecl
     ) -> None:
-        compiler = _ExprCompiler("row", {op.table: "_srow"})
-        where = (
-            compiler.compile(op.where) if op.where is not None else "True"
-        )
+        compiler, where, key = _write_predicate(op, decl)
         assignments = ", ".join(
             f"{col!r}: {compiler.compile(expr)}" for col, expr in op.assignments
         )
-        key = _lookup_key(op.where, decl, compiler, write=True)
         if key is None:
             writer.line(
                 f"_tables[{op.table!r}].update_where("
@@ -424,11 +420,7 @@ class PythonBackend(Backend):
     def _generate_delete(
         self, op: DeleteRows, writer: "_Writer", decl: StateDecl
     ) -> None:
-        compiler = _ExprCompiler("row", {op.table: "_srow"})
-        where = (
-            compiler.compile(op.where) if op.where is not None else "True"
-        )
-        key = _lookup_key(op.where, decl, compiler, write=True)
+        _compiler, where, key = _write_predicate(op, decl)
         if key is None:
             writer.line(
                 f"_tables[{op.table!r}].delete_where("
@@ -463,23 +455,20 @@ def _lookup_key(
     compiler: _ExprCompiler,
     write: bool = False,
 ) -> Optional[str]:
-    """The ``key_of`` argument of :meth:`StateTable.lookup` — a lambda
-    building the key tuple — when ``predicate`` over ``decl`` can start
-    from a keyed lookup; None keeps the scan.
-
-    Generated code still applies the whole predicate to the candidate,
-    so the lookup is sound when a scan would skip every other row with
-    no effect. That holds when:
+    """``lambda: (key values,)`` for :meth:`StateTable.lookup` when
+    ``predicate`` over ``decl`` may start from its key; None keeps the
+    scan. Generated code still applies the whole predicate to the
+    candidate, so this needs only that a scan would skip every other row
+    without effect:
 
     * the table is keyed and no key column is a float (NaN makes ``==``
-      and dict lookup disagree); a write also needs a table that is
-      not append-only, where ``update_where``/``delete_where`` raise
-      even when no row matches;
-    * the leading conjuncts pin every key column to an expression that
-      neither reads the table nor counts or aggregates it — the scan's
-      ``and`` then stops on a non-matching row before anything else;
-    * no conjunct calls a registry function, which a scan would call
-      (and charge to the simulated CPU) once per row.
+      and dict lookup disagree); a write also needs a table that is not
+      append-only, as the ``*_where`` scans raise even on no match;
+    * the leading conjuncts pin every key column to expressions that do
+      not read, count or aggregate the table, so the scan's ``and``
+      stops on any other row before the rest of the predicate;
+    * no conjunct calls a registry function, which a scan calls (and
+      charges to the simulated CPU) once per row.
     """
     keys = [col.name for col in decl.columns if col.is_key]
     if (
@@ -504,6 +493,14 @@ def _lookup_key(
         return None
     values = ", ".join(compiler.compile(pinned[key]) for key in keys)
     return f"lambda: ({values},)"
+
+
+def _write_predicate(op, decl: StateDecl):
+    """(compiler, WHERE source, lookup key or None) of an UPDATE/DELETE;
+    the compiler resolves the target table's columns to ``_srow``."""
+    compiler = _ExprCompiler("row", {op.table: "_srow"})
+    where = compiler.compile(op.where) if op.where is not None else "True"
+    return compiler, where, _lookup_key(op.where, decl, compiler, write=True)
 
 
 # -- runtime helpers shared with generated code ------------------------------

@@ -137,15 +137,14 @@ def conjuncts(expr: Expr) -> Iterator[Expr]:
 def key_pins(
     predicate: Optional[Expr], table: str, keys: Collection[str]
 ) -> Iterator[Tuple[Expr, str, Expr]]:
-    """The key-pinning walk: each conjunct of ``predicate``'s ``AND``
-    chain that equates a key column of ``table`` with an expression,
-    in order, as ``(conjunct, column, expression)``.
+    """The key-pinning walk: ``(conjunct, column, expr)`` for each
+    conjunct of ``predicate``'s ``AND`` chain, in order, that equates a
+    key column of ``table`` with ``expr`` (either way round).
 
-    Either side of the ``==`` may be the column. The expression may
-    still read the table; each reader applies its own test to it:
-    unique-join detection (:mod:`repro.ir.analysis`), the replication
-    and effect classifiers (:mod:`repro.ir.replication`), and keyed
-    lookups in the Python backend.
+    ``expr`` may still read the table; each reader applies its own test:
+    unique-join detection (:mod:`repro.ir.analysis`), the replication and
+    effect classifiers (:mod:`repro.ir.replication`) and the Python
+    backend's keyed lookups.
     """
     if predicate is None:
         return

@@ -199,9 +199,8 @@ class StateTable:
 
     def update_row(self, row: Row, new_values: Dict[str, object]) -> None:
         """Update one row of this table in place: the per-row body of
-        :meth:`update_where`, which keyed-lookup code calls directly."""
-        if self.append_only:
-            raise StateError(f"update on append-only table {self.name!r}")
+        :meth:`update_where`, which keyed-lookup code calls directly
+        (never on an append-only table)."""
         if any(col in self.key_columns for col in new_values):
             raise StateError(
                 f"table {self.name!r}: updating key columns is not allowed"
@@ -235,9 +234,8 @@ class StateTable:
 
     def delete_row(self, row: Row) -> None:
         """Delete one row of a keyed table: the per-row body of
-        :meth:`delete_where`, which keyed-lookup code calls directly."""
-        if self.append_only:
-            raise StateError(f"delete on append-only table {self.name!r}")
+        :meth:`delete_where`, which keyed-lookup code calls directly
+        (never on an append-only table)."""
         self._note_delete(row)
         del self._by_key[self._key_of(row)]
 
