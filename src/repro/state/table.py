@@ -63,8 +63,8 @@ class StateTable:
             col.name for col in decl.columns if col.is_key
         )
         self.append_only = decl.append_only
-        #: per key column, the value types a lookup may hash against it
-        #: (the ones ``==`` compares without faulting)
+        #: per key column, the value types that compare with its values
+        #: without faulting (what a missed lookup checks its key against)
         self._key_types: Tuple[frozenset, ...] = tuple(
             COMPARABLE_TYPES[col.type.python_type]
             for col in decl.columns
