@@ -481,14 +481,12 @@ class AdnMrpcStack:
             yield from sender.use(self._codec_cpu_us[codec] * US)
         extra = self.costs.mrpc_tcp_unbatched_extra_us
         if extra:
-            yield self.sim.timeout(extra * US)
+            yield extra * US
         hop_started = self.sim.now
         self.wire_bytes_total += wire
         # a latency-spike fault stretches every hop while it is active
         extra_us = self.cluster.l2.conditions.extra_latency_us
-        yield self.sim.timeout(
-            (self.costs.wire_us(wire, 1) + extra_us) * US
-        )
+        yield (self.costs.wire_us(wire, 1) + extra_us) * US
         received = self._cross_wire(message, deadline_at=deadline_at)
         if received is None:
             yield from self._lost(span)
@@ -661,13 +659,9 @@ class AdnMrpcStack:
                 yield from nic.resource.use(
                     self.costs.nic_rx_dispatch_us * US
                 )
-                yield self.sim.timeout(
-                    self.costs.nic_rx_wakeup_extra_us * US
-                )
+                yield self.costs.nic_rx_wakeup_extra_us * US
             else:
-                yield self.sim.timeout(
-                    self.costs.mrpc_rx_wakeup_extra_us * US
-                )
+                yield self.costs.mrpc_rx_wakeup_extra_us * US
             yield from self._transport["server"].use(
                 self._transport_cpu_us(current) * US
             )
@@ -766,7 +760,7 @@ class AdnMrpcStack:
             )
         if crossed_wire:
             # client engine receives the response off the wire
-            yield self.sim.timeout(self.costs.mrpc_rx_wakeup_extra_us * US)
+            yield self.costs.mrpc_rx_wakeup_extra_us * US
             yield from self._transport["client"].use(
                 self._transport_cpu_us(response) * US
             )

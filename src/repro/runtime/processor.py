@@ -413,22 +413,22 @@ class ProcessorRuntime:
             result = self._run_functionally(kind, rpc)
             total_extra = result.extra_us + result.cpu_us  # pipeline delay
             if total_extra > 0:
-                yield self.sim.timeout(total_extra * US)
+                yield total_extra * US
             result.cpu_us = 0.0
             if result.dropped_by:
                 self.rpcs_dropped += 1
             return result
-        yield self.resource.request()
+        yield from self.resource.acquire()
         try:
             result = self._run_functionally(kind, rpc)
             if result.cpu_us > 0:
-                yield self.sim.timeout(result.cpu_us * US)
+                yield result.cpu_us * US
             self.resource.busy_time += result.cpu_us * US
             self.resource.served += 1
         finally:
             self.resource.release()
         if result.extra_us > 0:
-            yield self.sim.timeout(result.extra_us * US)
+            yield result.extra_us * US
         if result.dropped_by:
             self.rpcs_dropped += 1
         return result
