@@ -247,6 +247,36 @@ class TestAdnWire:
         with pytest.raises(RuntimeFault, match="layout mismatch"):
             codec.decode(b"\xff\x00")
 
+    def test_every_cut_decodes_or_faults(self):
+        codec = AdnWireCodec(self.layout())
+        frame = codec.encode({
+            "rpc_id": 7, "obj_id": -3, "ok": True, "dst": "é" * 100,
+            "payload": b"x" * 200,
+        })
+        for cut in range(len(frame)):
+            try:
+                codec.decode(frame[:cut])
+            except RuntimeFault:
+                pass
+
+    @pytest.mark.parametrize("kind", ["INT", "FLOAT", "BOOL"])
+    def test_frame_cut_inside_fixed_field_names_it(self, kind):
+        codec = AdnWireCodec(build_layout({"field": FieldType[kind]}))
+        frame = codec.encode({"field": 1})
+        with pytest.raises(RuntimeFault, match="truncated fixed field 'field'"):
+            codec.decode(frame[:-1])
+
+    def test_invalid_utf8_names_the_field(self):
+        codec = AdnWireCodec(build_layout({"dst": FieldType.STR}))
+        with pytest.raises(RuntimeFault, match="'dst' is not UTF-8"):
+            codec.decode(b"\x00\x01\xff")
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_int_outside_int64_names_the_field(self, value):
+        codec = AdnWireCodec(self.layout())
+        with pytest.raises(RuntimeFault, match="'obj_id'.*int64"):
+            codec.encode({"obj_id": value})
+
 
 class TestVirtualL2:
     def test_delivery_by_flat_id(self):
