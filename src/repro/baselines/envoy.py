@@ -84,7 +84,7 @@ class EnvoySidecar:
                     break
                 continue  # response drops degenerate to forwarding
             current = outputs[0]
-        yield self.sim.timeout(self.costs.envoy_extra_latency_us * US)
+        yield self.costs.envoy_extra_latency_us * US
         if dropped_by is not None:
             return None, dropped_by
         return current, None
@@ -136,23 +136,21 @@ class EnvoyMeshStack:
             )
             * US
         )
-        yield self.sim.timeout(
-            (self.costs.kernel_wakeup_extra_us + self.costs.loopback_extra_us)
-            * US
-        )
+        yield (
+            self.costs.kernel_wakeup_extra_us + self.costs.loopback_extra_us
+        ) * US
 
     def _sidecar_to_app(self, app: Resource, message: Row) -> Generator:
         yield from app.use(self.grpc._recv_cpu_us(message) * US)
-        yield self.sim.timeout(
-            (self.costs.kernel_wakeup_extra_us + self.costs.loopback_extra_us)
-            * US
-        )
+        yield (
+            self.costs.kernel_wakeup_extra_us + self.costs.loopback_extra_us
+        ) * US
 
     def _wire(self, message: Row) -> Generator:
         encoded = self.grpc.encode(message)
         wire = tcp_wire_bytes(len(encoded))
         self.wire_bytes_total += wire
-        yield self.sim.timeout(self.costs.wire_us(wire) * US)
+        yield self.costs.wire_us(wire) * US
 
     def call(self, **fields: object) -> Generator:
         issued_at = self.sim.now

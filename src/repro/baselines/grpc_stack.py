@@ -103,7 +103,7 @@ class GrpcStack:
     def _wire(self, encoded: bytes, hops: int = 1) -> Generator:
         wire = tcp_wire_bytes(len(encoded))
         self.wire_bytes_total += wire
-        yield self.sim.timeout(self.costs.wire_us(wire, hops) * US)
+        yield self.costs.wire_us(wire, hops) * US
 
     # -- the path -------------------------------------------------------------------
 
@@ -119,7 +119,7 @@ class GrpcStack:
         yield from self.client_app.use(
             (self.costs.client_issue_us + self._send_cpu_us(request)) * US
         )
-        yield self.sim.timeout(self.costs.kernel_wakeup_extra_us * US)
+        yield self.costs.kernel_wakeup_extra_us * US
         encoded = self.encode(request)
         yield from self._wire(encoded)
         # server: kernel recv + deserialize + handle
@@ -127,17 +127,17 @@ class GrpcStack:
         yield from self.server_app.use(
             (self._recv_cpu_us(request) + self.costs.app_logic_us) * US
         )
-        yield self.sim.timeout(self.costs.kernel_wakeup_extra_us * US)
+        yield self.costs.kernel_wakeup_extra_us * US
         response = make_response(request, **app_fields)
         # response path
         yield from self.server_app.use(self._send_cpu_us(response) * US)
-        yield self.sim.timeout(self.costs.kernel_wakeup_extra_us * US)
+        yield self.costs.kernel_wakeup_extra_us * US
         encoded_response = self.encode(response)
         yield from self._wire(encoded_response)
         yield from self.client_app.use(
             (self._recv_cpu_us(response) + self.costs.client_complete_us) * US
         )
-        yield self.sim.timeout(self.costs.kernel_wakeup_extra_us * US)
+        yield self.costs.kernel_wakeup_extra_us * US
         return RpcOutcome(
             request=request,
             response=response,

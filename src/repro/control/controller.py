@@ -449,7 +449,7 @@ class RecoveryOrchestrator:
             # controller-side work (re-solve, validation, push) takes
             # real time; a controller death inside this window is what
             # orphans a recovery without a warm standby
-            yield self.sim.timeout(self.pre_apply_delay_s)
+            yield float(self.pre_apply_delay_s)
         if not self._alive():
             self.abandoned_recoveries += 1
             self._in_progress.discard(machine)
@@ -459,7 +459,7 @@ class RecoveryOrchestrator:
             # retrying — the stale-controller-wakes-up case the epoch
             # fence exists for
             while not self.push_ok_fn():
-                yield self.sim.timeout(self.push_retry_interval_s)
+                yield float(self.push_retry_interval_s)
                 if not self._alive():
                     self.abandoned_recoveries += 1
                     self._in_progress.discard(machine)

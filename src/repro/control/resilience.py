@@ -301,7 +301,7 @@ class ControllerPair:
         """Simulation process: lease renewal and takeover on a tick."""
         deadline = self.sim.now + duration_s
         while self.sim.now < deadline:
-            yield self.sim.timeout(self.renew_interval_s)
+            yield float(self.renew_interval_s)
             for node in self.nodes:
                 if not (node.up and node.reachable):
                     continue

@@ -144,7 +144,7 @@ class Autoscaler:
         self._last_busy = self.resource.busy_time
         deadline = self.sim.now + duration_s
         while self.sim.now < deadline:
-            yield self.sim.timeout(self.config.sample_interval_s)
+            yield float(self.config.sample_interval_s)
             utilization = self._window_utilization()
             delay_high = self._queue_delay_high()
             pressed = utilization > self.config.high_watermark or delay_high
@@ -232,12 +232,10 @@ class Autoscaler:
                     len(table) * self.migrator.timing.per_row_copy_us * 1e-6
                 )
                 if warm_s > 0:
-                    yield self.sim.timeout(warm_s)
+                    yield warm_s
                 report.warm_copy_s = warm_s
                 pause_started = self.sim.now
-                yield self.sim.timeout(
-                    self.migrator.timing.flip_fixed_us * 1e-6
-                )
+                yield self.migrator.timing.flip_fixed_us * 1e-6
                 report.pause_s = self.sim.now - pause_started
                 report.finished_at = self.sim.now
                 migration = report

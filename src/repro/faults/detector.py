@@ -249,5 +249,5 @@ class HeartbeatFailureDetector:
         """Simulation process: poll suspicion on an interval."""
         deadline = self.sim.now + duration_s
         while self.sim.now < deadline:
-            yield self.sim.timeout(self.poll_interval_s)
+            yield float(self.poll_interval_s)
             self.check()

@@ -104,13 +104,13 @@ class FaultInjector:
         self.cluster.l2.reseed(plan.seed)
         for event in plan.events:
             if event.at_s > self.sim.now:
-                yield self.sim.timeout(event.at_s - self.sim.now)
+                yield event.at_s - self.sim.now
             self._apply(event)
             if event.duration_s is not None:
                 self.sim.process(self._revert_after(event))
 
     def _revert_after(self, event: FaultEvent) -> Generator:
-        yield self.sim.timeout(event.duration_s)
+        yield float(event.duration_s)
         self._revert(event)
 
     # -- apply / revert ------------------------------------------------------

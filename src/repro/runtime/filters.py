@@ -128,7 +128,7 @@ def wrap_retry(
                 return outcome
             attempts += 1
             if backoff_ms > 0:
-                yield sim.timeout(backoff_ms * 1e-3)
+                yield backoff_ms * 1e-3
 
     return shaped
 
@@ -322,7 +322,7 @@ def wrap_retry_policy(
                 sanitizer.note_retry(fields.get("rpc_id"))
             if backoff > 0:
                 stats.backoff_s_total += backoff
-                yield sim.timeout(backoff)
+                yield backoff
 
     def _finish(outcome: RpcOutcome) -> RpcOutcome:
         if breaker is not None:
@@ -349,7 +349,7 @@ def wrap_rate_shaper(sim: Simulator, call: CallFn, rate_rps: float) -> CallFn:
         slot = max(state["next_slot"], sim.now)
         state["next_slot"] = slot + interval
         if slot > sim.now:
-            yield sim.timeout(slot - sim.now)
+            yield slot - sim.now
         outcome = yield sim.process(call(**fields))
         return outcome
 

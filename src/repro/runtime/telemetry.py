@@ -223,7 +223,7 @@ class TelemetryCollector:
         """Simulation process: sample on the configured interval."""
         deadline = self.sim.now + duration_s
         while self.sim.now < deadline:
-            yield self.sim.timeout(self.interval_s)
+            yield float(self.interval_s)
             self.sample()
 
 

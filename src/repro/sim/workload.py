@@ -103,7 +103,7 @@ class ClosedLoopClient:
                 continue
             self.metrics.record(outcome, priority)
             if self.think_s > 0:
-                yield self.sim.timeout(self.think_s)
+                yield float(self.think_s)
 
 
 class OpenLoopClient:
@@ -152,7 +152,7 @@ class OpenLoopClient:
         for (rate, duration), phase in zip(self.phases, self.per_phase):
             started = sim.now
             while sim.now - started < duration:
-                yield sim.timeout(rng.expovariate(rate))
+                yield rng.expovariate(rate)
                 if self.rate_fn is not None and (
                     rng.random() * rate > self.rate_fn(sim.now - begin)
                 ):

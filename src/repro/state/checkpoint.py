@@ -155,9 +155,7 @@ class Checkpointer:
                 watch.vars = dict(watch.store.vars)
             watch.deltas_streamed += streamed
             if streamed:
-                yield self.sim.timeout(
-                    streamed * self.timing.per_delta_stream_us * 1e-6
-                )
+                yield streamed * self.timing.per_delta_stream_us * 1e-6
             watch.streams_since_fold += 1
             if watch.streams_since_fold >= self.fold_every:
                 watch.streams_since_fold = 0
@@ -167,15 +165,13 @@ class Checkpointer:
                     folded += len(deltas)
                     deltas.clear()
                 if folded:
-                    yield self.sim.timeout(
-                        folded * self.timing.per_delta_fold_us * 1e-6
-                    )
+                    yield folded * self.timing.per_delta_fold_us * 1e-6
 
     def run(self, duration_s: float) -> Generator:
         """Simulation process: stream on the configured interval."""
         deadline = self.sim.now + duration_s
         while self.sim.now < deadline:
-            yield self.sim.timeout(self.stream_interval_s)
+            yield float(self.stream_interval_s)
             yield from self.stream_once()
 
     # -- crash handling ------------------------------------------------------
@@ -217,6 +213,6 @@ class Checkpointer:
             replayed * self.timing.per_delta_replay_us
             + self.timing.flip_fixed_us
         ) * 1e-6
-        yield self.sim.timeout(blackout_s)
+        yield blackout_s
         report.restore_s = self.sim.now - started
         return report

@@ -90,7 +90,7 @@ class Migrator:
             report.rows_copied * self.timing.per_row_copy_us * 1e-6
         )
         if warm_copy_s > 0:
-            yield self.sim.timeout(warm_copy_s)
+            yield warm_copy_s
         report.warm_copy_s = warm_copy_s
         target.load_snapshot(snapshot)
         # phase 2: flip — pause, replay deltas, switch, resume
@@ -102,7 +102,7 @@ class Migrator:
             len(deltas) * self.timing.per_delta_replay_us
             + self.timing.flip_fixed_us
         ) * 1e-6
-        yield self.sim.timeout(replay_s)
+        yield replay_s
         target.apply_deltas(deltas)
         self.resume_hook()
         report.pause_s = self.sim.now - pause_started
@@ -124,7 +124,7 @@ class Migrator:
         report.rows_copied = sum(len(p) for p in parts)
         warm_copy_s = report.rows_copied * self.timing.per_row_copy_us * 1e-6
         if warm_copy_s > 0:
-            yield self.sim.timeout(warm_copy_s)
+            yield warm_copy_s
         report.warm_copy_s = warm_copy_s
         self.pause_hook()
         pause_started = self.sim.now
@@ -134,7 +134,7 @@ class Migrator:
             len(deltas) * self.timing.per_delta_replay_us
             + self.timing.flip_fixed_us
         ) * 1e-6
-        yield self.sim.timeout(replay_s)
+        yield replay_s
         for delta in deltas:
             row = delta.as_row()
             index = parts[0].partition_key_for(row) % ways if parts[0].keyed else 0
@@ -160,7 +160,7 @@ class Migrator:
             report.rows_copied * self.timing.per_row_copy_us
             + self.timing.flip_fixed_us
         ) * 1e-6
-        yield self.sim.timeout(merge_s)
+        yield merge_s
         self.resume_hook()
         report.pause_s = self.sim.now - pause_started
         report.finished_at = self.sim.now
