@@ -14,8 +14,8 @@ Layout rules:
   width then name — keeps hot match fields at stable small offsets;
 * variable-width fields (str, bytes) last, each preceded by a varint
   length;
-* a 1-byte field-id prefix per field supports schema evolution (old
-  processors skip unknown ids).
+* a 1-byte field-id prefix per field; a decoder rejects an id its
+  layout does not carry (a layout mismatch).
 
 The layout knows each field's worst-case *fixed* offset, which is what
 the P4 backend checks against the switch's parse window: a programmable
