@@ -12,15 +12,6 @@ Two consumers share the abstract machinery in :mod:`domains`:
 """
 
 from .domains import TOP, AbstractValue, UNKNOWN, join
-from .effects import (
-    ElementEffects,
-    MutationSite,
-    OutputStateRead,
-    element_effects,
-    refine_replication,
-    refined_safety,
-    summarize_elements,
-)
 from .typecheck import (
     ChainTypeReport,
     TypeFinding,
@@ -35,13 +26,6 @@ __all__ = [
     "UNKNOWN",
     "AbstractValue",
     "join",
-    "ElementEffects",
-    "MutationSite",
-    "OutputStateRead",
-    "element_effects",
-    "refine_replication",
-    "refined_safety",
-    "summarize_elements",
     "TypeFinding",
     "ChainTypeReport",
     "check_chain",

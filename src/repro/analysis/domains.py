@@ -177,7 +177,7 @@ def compatible(a: AbstractValue, b: AbstractValue) -> bool:
 # -- interval arithmetic (conservative) ---------------------------------
 
 
-def _iv_neg(value: AbstractValue) -> Tuple[Optional[float], Optional[float]]:
+def iv_neg(value: AbstractValue) -> Tuple[Optional[float], Optional[float]]:
     lo = None if value.hi is None else -value.hi
     hi = None if value.lo is None else -value.lo
     return lo, hi

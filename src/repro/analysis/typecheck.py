@@ -67,9 +67,9 @@ from .domains import (
     NUMERIC,
     TOP,
     AbstractValue,
-    _iv_neg,
     arith_result,
     comparable,
+    iv_neg,
     join,
 )
 
@@ -492,7 +492,7 @@ class _HandlerChecker:
                     expr.span,
                 )
                 return TOP
-            lo, hi = _iv_neg(value)
+            lo, hi = iv_neg(value)
             types = (
                 (value.types & NUMERIC) if value.types is not None else None
             )

@@ -36,7 +36,7 @@ from ...dsl.ast_nodes import (
     VarRef,
 )
 from ...dsl.schema import FieldType
-from ...ir.analysis import _join_is_unique  # shared join-shape analysis
+from ...ir.analysis import join_is_unique  # shared join-shape analysis
 from ...ir.expr_utils import collect_refs, walk
 from ...ir.nodes import (
     AssignVar,
@@ -122,7 +122,7 @@ class EbpfBackend(Backend):
         for handler in element.handlers.values():
             for stmt in handler.statements:
                 for op in stmt.ops:
-                    if isinstance(op, JoinState) and not _join_is_unique(
+                    if isinstance(op, JoinState) and not join_is_unique(
                         op, key_columns
                     ):
                         report.violations.append(

@@ -33,7 +33,7 @@ from ...dsl.ast_nodes import (
     VarRef,
 )
 from ...dsl.schema import FieldType
-from ...ir.analysis import _join_is_unique
+from ...ir.analysis import join_is_unique
 from ...ir.expr_utils import walk
 from ...ir.nodes import (
     AssignVar,
@@ -132,7 +132,7 @@ class P4Backend(Backend):
 
     def _check_op(self, op, key_columns, report: LegalityReport) -> None:
         if isinstance(op, JoinState):
-            if not _join_is_unique(op, key_columns):
+            if not join_is_unique(op, key_columns):
                 report.violations.append(
                     f"join on {op.table!r} is not an exact-match lookup"
                 )

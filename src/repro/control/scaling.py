@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from ..ir.replication import ReplicationSafety
+from ..ir.state_access import ReplicationSafety
 from ..overload.admission import AdmissionController
 from ..sim.engine import Simulator
 from ..sim.resources import Resource
@@ -69,19 +69,20 @@ class Autoscaler:
     when capacity changes (the controller passes the keyed tables of the
     elements hosted on the processor).
 
-    ``safety`` carries the hosted elements' replication-safety verdicts
-    (``analysis.replication``). When any hosted element is not shardable
-    — it holds read-modify-write state that key-partitioning cannot
-    isolate — the autoscaler refuses to add replicas: scale-out would
-    silently change semantics (each replica would see a fraction of the
-    element's history). Refusals are recorded as ``refused_out`` events
-    with the blocking reasons. Scale-in is always allowed.
+    ``safety`` carries the hosted elements' replication-safety verdicts,
+    folds over each element's state-access summary
+    (:mod:`repro.ir.state_access`). When any hosted element is not
+    shardable — it holds read-modify-write state that key-partitioning
+    cannot isolate — the autoscaler refuses to add replicas: scale-out
+    would silently change semantics (each replica would see a fraction
+    of the element's history). Refusals are recorded as ``refused_out``
+    events with the blocking reasons. Scale-in is always allowed.
 
-    ``effects`` optionally carries the hosted elements' effect summaries
-    (``analysis.effects.ElementEffects``); when present, each coarse
-    verdict is tightened to per-mutation-site proofs before gating
-    scale-out, so a coarsely-shardable element with a replica-divergent
-    mutation site is refused with the site's reason (ADN702).
+    The autoscaler gates on exactly the verdicts it is handed: the
+    coarse ones (``analysis.replication``) judge each table and var, the
+    refined ones (``analysis.refined_replication``) also refuse an
+    element with a replica-divergent mutation site (ADN702), giving that
+    site as the reason.
     """
 
     def __init__(
@@ -93,27 +94,12 @@ class Autoscaler:
         migration_timing: Optional[MigrationTiming] = None,
         safety: Optional[Sequence[ReplicationSafety]] = None,
         admission: Optional[AdmissionController] = None,
-        effects: Optional[Sequence] = None,
     ):
         self.sim = sim
         self.resource = resource
         self.config = config or AutoscalerConfig()
         self.stateful_tables = stateful_tables or []
         self.safety = list(safety or [])
-        if effects:
-            # per-mutation-site proofs (repro.analysis.effects) tighten
-            # the coarse verdicts: an element the coarse classifier calls
-            # shardable but whose summary holds a replica-divergent
-            # mutation site must not gain replicas (ADN702)
-            from ..analysis.effects import refine_replication
-
-            by_element = {summary.element: summary for summary in effects}
-            self.safety = [
-                refine_replication(verdict, by_element[verdict.element])
-                if verdict.element in by_element
-                else verdict
-                for verdict in self.safety
-            ]
         self.migrator = Migrator(sim, migration_timing)
         #: the processor's admission controller, engaged only as the
         #: last escalation step (shed before collapse)

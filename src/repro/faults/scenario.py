@@ -2,7 +2,7 @@
 
 One stateful element — ``SessionTally``, a per-user read-modify-write
 hit counter, the least replication-friendly state class
-(:mod:`repro.ir.replication` calls it blocking) — is deliberately placed
+(:mod:`repro.ir.state_access` calls it blocking) — is deliberately placed
 on a third machine, ``stats-host``, away from both application hosts.
 A fault plan crashes that machine mid-workload. What should happen,
 end to end:

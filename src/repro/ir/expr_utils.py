@@ -142,9 +142,9 @@ def key_pins(
     key column of ``table`` with ``expr`` (either way round).
 
     ``expr`` may still read the table; each reader applies its own test:
-    unique-join detection (:mod:`repro.ir.analysis`), the replication and
-    effect classifiers (:mod:`repro.ir.replication`) and the Python
-    backend's keyed lookups.
+    unique-join detection (:mod:`repro.ir.analysis`), the state-access
+    walk (:mod:`repro.ir.state_access`) and the Python backend's keyed
+    lookups.
     """
     if predicate is None:
         return

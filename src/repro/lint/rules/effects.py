@@ -1,6 +1,7 @@
 """``ADN70x`` — exactly-once / replica-divergence hazards (DSL side).
 
-Surfaces :mod:`repro.analysis.effects` per-mutation-site proofs as
+Surfaces the per-mutation-site proofs of the effect fold
+(:mod:`repro.ir.state_access`, cached on each element's analysis) as
 element-level findings. The spec-side variants in
 :mod:`repro.analysis.graph` prove the same hazards *against a topology*
 (a site only double-charges if some edge actually retries over it, so
@@ -11,26 +12,18 @@ deployment.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from ...analysis.effects import ElementEffects, element_effects, refine_replication
 from ..diagnostics import Diagnostic, Severity
 from ..registry import rule
 
-_CACHE_KEY = "effects.summaries"
 
-
-def _summaries(context) -> Dict[str, ElementEffects]:
-    """One effect summary per own element, shared across the family."""
-    cached = context.cache.get(_CACHE_KEY)
-    if cached is None:
-        cached = {}
-        for name in context.own_elements:
-            ir = context.irs.get(name)
-            if ir is not None:
-                cached[name] = element_effects(ir, context.registry)
-        context.cache[_CACHE_KEY] = cached
-    return cached
+def _own_analyses(context):
+    """Each analyzed own element, by name."""
+    for name in sorted(context.own_elements):
+        analysis = context.analyses.get(name)
+        if analysis is not None:
+            yield name, analysis
 
 
 @rule("ADN700", "non-idempotent-under-retry", Severity.WARNING)
@@ -39,8 +32,8 @@ def check_non_idempotent(context) -> List[Diagnostic]:
     retried attempt of one logical RPC re-applies it, so deploying the
     element under any retrying edge double-charges state."""
     out: List[Diagnostic] = []
-    for name, effects in sorted(_summaries(context).items()):
-        for site in effects.non_idempotent_sites():
+    for name, analysis in _own_analyses(context):
+        for site in analysis.effects.non_idempotent_sites():
             out.append(
                 context.diag(
                     "ADN700",
@@ -62,8 +55,8 @@ def check_non_commutative(context) -> List[Diagnostic]:
     """A mutation does not commute with itself: sibling RPCs racing
     through fan-out edges make the final state order-dependent."""
     out: List[Diagnostic] = []
-    for name, effects in sorted(_summaries(context).items()):
-        for site in effects.non_commutative_sites():
+    for name, analysis in _own_analyses(context):
+        for site in analysis.effects.non_commutative_sites():
             out.append(
                 context.diag(
                     "ADN701",
@@ -86,13 +79,10 @@ def check_replica_divergence(context) -> List[Diagnostic]:
     a per-mutation-site proof shows a replica-divergent site: replicas
     would silently disagree, so scale-out must be refused."""
     out: List[Diagnostic] = []
-    summaries = _summaries(context)
-    for name in sorted(summaries):
-        analysis = context.analyses.get(name)
-        coarse = getattr(analysis, "replication", None)
-        if coarse is None or not coarse.shardable:
+    for name, analysis in _own_analyses(context):
+        if not analysis.replication.shardable:
             continue  # already blocked coarsely (ADN301/302 report it)
-        tightened = refine_replication(coarse, summaries[name])
+        tightened = analysis.refined_replication
         if tightened.shardable:
             continue
         out.append(
@@ -116,8 +106,8 @@ def check_retry_visible_reads(context) -> List[Diagnostic]:
     changes: a duplicate attempt observes (and answers with) different
     state than the first, so retries are visible to the caller."""
     out: List[Diagnostic] = []
-    for name, effects in sorted(_summaries(context).items()):
-        for read, site in effects.retry_visible_reads():
+    for name, analysis in _own_analyses(context):
+        for read, site in analysis.effects.retry_visible_reads():
             out.append(
                 context.diag(
                     "ADN703",

@@ -8,7 +8,7 @@ a side its own meta forbids?).
 
 ``ADN403`` extends the family beyond feasibility into durability: an
 element whose state blocks replication (read-modify-write, per
-:mod:`repro.ir.replication`) has exactly one copy of that state at
+:mod:`repro.ir.state_access`) has exactly one copy of that state at
 runtime — if the machine hosting it crashes and the element never opted
 into checkpointing (``meta { checkpoint: true; }``), recovery has no
 source to restore from and the state is simply gone.

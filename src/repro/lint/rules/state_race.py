@@ -1,17 +1,18 @@
 """``ADN3xx`` — state races / replication safety.
 
-Surfaces :mod:`repro.ir.replication`'s classification as findings: an
-element whose state is read-modify-write cannot be scaled out by
-replication (each replica would see a fraction of the history), which
-is exactly what the controller's autoscaler and the parallelize pass
-will refuse at deploy time. Better to hear it from the linter first.
+Surfaces the coarse replication verdict (:mod:`repro.ir.state_access`)
+as findings: an element whose state is read-modify-write cannot be
+scaled out by replication (each replica would see a fraction of the
+history), which is exactly what the controller's autoscaler and the
+parallelize pass will refuse at deploy time. Better to hear it from the
+linter first.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ...ir.replication import AccessMode
+from ...ir.state_access import AccessMode
 from ..diagnostics import Diagnostic, Severity
 from ..registry import rule
 

@@ -364,8 +364,10 @@ class StateStore:
 
 # -- shadow sanitizer (exactly-once / divergence checking) -----------------
 #
-# The static side (repro.analysis.effects + the ADN700 rule family) proves
-# per-mutation-site idempotence and replica convergence. The sanitizer is
+# The static side proves per-mutation-site idempotence and replica
+# convergence: the effect and refined-replication folds over each
+# element's state-access summary (repro.ir.state_access, cached on its
+# ElementAnalysis), reported by the ADN700 rule family. The sanitizer is
 # the dynamic half of that contract: attached to element replicas during
 # chaos/overload trials, it watches every state mutation with its RPC
 # context and flags

@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.effects import element_effects, refined_safety
 from repro.compiler.backends import make_backends
 from repro.compiler.backends.python_backend import PythonBackend
 from repro.compiler.compiler import AdnCompiler
@@ -545,8 +544,8 @@ def _static_facts():
         for kind, handler in sorted(analysis.handlers.items()):
             lines.append(f"{label} {kind} can_multiply={handler.can_multiply}")
         lines.append(f"{label} replication {analysis.replication!r}")
-        lines.append(f"{label} refined {refined_safety(ir, registry)!r}")
-        lines.append(f"{label} effects {element_effects(ir, registry)!r}")
+        lines.append(f"{label} refined {analysis.refined_replication!r}")
+        lines.append(f"{label} effects {analysis.effects!r}")
         for backend_name, backend in sorted(backends.items()):
             report = backend.check(ir)
             lines.append(

@@ -18,8 +18,13 @@ from repro.analysis.graph import (
     retry_amplification,
 )
 from repro.cli import main
-from repro.dsl.functions import DEFAULT_REGISTRY
+from repro.dsl.functions import (
+    DEFAULT_REGISTRY,
+    FunctionRegistry,
+    FunctionSpec,
+)
 from repro.dsl.parser import parse
+from repro.dsl.schema import FieldType
 from repro.dsl.stdlib import load_stdlib
 from repro.dsl.validator import validate_program
 from repro.graph import (
@@ -878,6 +883,51 @@ class TestAdn700Effects:
         assert "ADN703" not in codes(
             analyze(graph, nondet_program()).diagnostics
         )
+
+    def test_effects_use_the_registry_passed_in(self):
+        """A nondeterministic function only the caller's registry knows
+        makes a keyed insert non-idempotent under retries (ADN700) and
+        replica-divergent (ADN702): the effect facts come from the
+        analyses built with that registry."""
+        registry = FunctionRegistry()
+        registry.register(
+            FunctionSpec(
+                "jitter",
+                arity=(1,),
+                result_type=FieldType.INT,
+                impl=lambda value: value,
+                deterministic=False,
+            )
+        )
+        program = validate_program(
+            parse(
+                """
+                element Jittered {
+                    state seen (obj_id: int KEY, j: int);
+                    on request {
+                        INSERT INTO seen
+                            SELECT input.obj_id, jitter(input.obj_id)
+                            FROM input;
+                        SELECT * FROM input;
+                    }
+                }
+                """
+            ),
+            schema=MESH_SCHEMA,
+            registry=registry,
+        )
+        graph = (
+            GraphBuilder("g")
+            .edge("a", "b", elements=("Jittered",), deadline_budget_ms=10.0,
+                  max_attempts=3, per_attempt_timeout_ms=3.0, breaker=True)
+            .build()
+        )
+        diagnostics = analyze(graph, program, registry=registry).diagnostics
+        (retried,) = [d for d in diagnostics if d.code == "ADN700"]
+        assert retried.severity is Severity.ERROR
+        assert retried.element == "Jittered"
+        assert retried.message.startswith("edge a->b:")
+        assert "ADN702" in codes(diagnostics)
 
     def test_demo_graphs_have_no_adn700_errors(self):
         for graph in (bookinfo_graph(), hotel_mesh_graph()):

@@ -9,16 +9,8 @@ from repro.ir.analysis import analyze_element
 from repro.ir.builder import build_element_ir
 from repro.ir.dependency import can_parallelize
 from repro.ir.passes.parallelize import parallel_stages
-from repro.ir.replication import AccessMode, replication_safety
+from repro.ir.state_access import AccessMode
 from repro.sim import Resource, Simulator
-
-
-def safety_of(source, name=None):
-    program = parse(source)
-    element = validate_element(
-        program.elements[name or next(iter(program.elements))]
-    )
-    return replication_safety(build_element_ir(element))
 
 
 def analysis_of(source, name=None):
@@ -27,6 +19,10 @@ def analysis_of(source, name=None):
         program.elements[name or next(iter(program.elements))]
     )
     return analyze_element(build_element_ir(element))
+
+
+def safety_of(source, name=None):
+    return analysis_of(source, name).replication
 
 
 COMMUTATIVE_COUNTER = """

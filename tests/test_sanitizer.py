@@ -374,11 +374,11 @@ class TestMeshSoundness:
         """Soundness, dynamic -> static: every sanitizer violation's
         element carries a matching non-empty static site set, and the
         static graph analysis flags the same hazard (ADN700)."""
-        from repro.analysis.effects import element_effects
         from repro.analysis.graph import analyze_graph
         from repro.graph.model import ServiceGraph
         from repro.graph.scenario import MESH_SCHEMA, mesh_program
         from repro.dsl import validate_element
+        from repro.ir.analysis import analyze_element
         from repro.ir.builder import build_element_ir
 
         graph = ServiceGraph.load("examples/double_charge.graph.json")
@@ -390,9 +390,9 @@ class TestMeshSoundness:
         program = mesh_program()
         summaries = {}
         for name, element in program.elements.items():
-            summaries[name] = element_effects(
+            summaries[name] = analyze_element(
                 build_element_ir(validate_element(element))
-            )
+            ).effects
         for violation in sanitizer.violations:
             effects = summaries[violation.element]
             if violation.rule == "ADN700":
