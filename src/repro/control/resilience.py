@@ -49,6 +49,7 @@ from ..dsl.parser import parse
 from ..dsl.schema import FieldType
 from ..dsl.stdlib import load_stdlib
 from ..dsl.validator import validate_program
+from ..errors import SimulationTimeout
 from ..faults.detector import HeartbeatFailureDetector
 from ..faults.injector import FaultInjector, TimelineEntry
 from ..faults.plan import FAULT_KINDS, FaultPlan, random_multi_fault_plan
@@ -59,7 +60,6 @@ from ..runtime.mrpc import AdnMrpcStack
 from ..runtime.processor import PlacementPlan, PlacementSegment
 from ..runtime.telemetry import TelemetryCollector
 from ..sim.cluster import Cluster, Simulator, two_machine_cluster
-from ..sim.engine import SimulationError
 from ..sim.workload import ClosedLoopClient
 from ..state.checkpoint import Checkpointer
 from ..state.table import StateStore
@@ -650,7 +650,7 @@ def run_control_resilience_scenario(
     timed_out = False
     try:
         metrics = client.run(limit_s=limit)
-    except SimulationError:
+    except SimulationTimeout:
         # an orphaned mesh never finishes the workload: the baseline
         # without failover is *supposed* to end up here
         timed_out = True

@@ -104,6 +104,12 @@ class SimulationError(AdnError):
     the past, negative duration, resource misuse)."""
 
 
+class SimulationTimeout(SimulationError):
+    """``run_until_complete`` reached its limit before the process it
+    waits on finished. Every other :class:`SimulationError` is a fault in
+    the simulated program; this one only says the run was too short."""
+
+
 class RuntimeFault(AdnError):
     """A data-plane processor failed while executing an element.
 

@@ -29,7 +29,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Generator, List, Optional, Tuple
 
-from ..errors import SimulationError
+from ..errors import SimulationError, SimulationTimeout
 
 #: one microsecond, in simulator seconds
 US = 1e-6
@@ -288,7 +288,7 @@ class Simulator:
         """Run until ``process`` finishes; returns its value."""
         self.run(until=limit)
         if not process.triggered:
-            raise SimulationError(
+            raise SimulationTimeout(
                 f"process did not finish within {limit} simulated seconds"
             )
         return process.value

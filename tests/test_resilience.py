@@ -8,6 +8,7 @@ bit-identical under replay via ``ResilienceResult.signature()``.
 """
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -22,7 +23,7 @@ from repro.control.resilience import (
     run_chaos_trial,
     run_control_resilience_scenario,
 )
-from repro.errors import StaleEpochError
+from repro.errors import SimulationError, StaleEpochError
 from repro.faults import (
     CONTROL_PARTITION,
     DATAPLANE_FAULT_KINDS,
@@ -37,7 +38,9 @@ from repro.faults import (
     partition_during_recovery_plan,
     random_multi_fault_plan,
     random_single_fault_plan,
+    run_recovery_scenario,
 )
+from repro.runtime.mrpc import AdnMrpcStack
 from repro.runtime.telemetry import ProcessorReport
 from repro.sim import Simulator
 
@@ -567,6 +570,26 @@ class TestFailoverScenarios:
             for _ in range(2)
         ]
         assert runs[0].signature() == runs[1].signature()
+
+
+@pytest.mark.parametrize(
+    "run", [run_recovery_scenario, run_control_resilience_scenario]
+)
+def test_kernel_error_is_not_an_orphaned_mesh(run, monkeypatch):
+    """Only the run limit reads as a timeout: a fault in the simulated
+    program propagates from either SessionTally scenario instead of
+    passing for a workload that never finished."""
+    original = AdnMrpcStack.call_raw
+    calls = itertools.count(1)
+
+    def call_raw(self, **fields):
+        if next(calls) == 50:
+            yield -1.0
+        return (yield from original(self, **fields))
+
+    monkeypatch.setattr(AdnMrpcStack, "call_raw", call_raw)
+    with pytest.raises(SimulationError, match="negative or NaN delay"):
+        run(seed=1, total_rpcs=200)
 
 
 # -- the chaos soak ----------------------------------------------------------
