@@ -411,6 +411,10 @@ class RecoveryOrchestrator:
     def _alive(self) -> bool:
         return self.alive_fn() if self.alive_fn is not None else True
 
+    def recovering(self, machine: str) -> bool:
+        """Whether a recovery of ``machine`` is running here."""
+        return machine in self._in_progress
+
     def suspect_sink(self, suspicion) -> None:
         """Detector callback: start recovery if the suspect machine
         hosts any of our stack's processors."""
@@ -497,7 +501,7 @@ class RecoveryOrchestrator:
         # machine is alive and its log still drains; nothing is marked.
         if self.checkpointer is not None and not graceful:
             for element in displaced:
-                if element in getattr(self.checkpointer, "_watches", {}):
+                if self.checkpointer.watches(element):
                     self.checkpointer.mark_crashed(element)
         if self.telemetry is not None:
             for processor in old_processors:
@@ -525,9 +529,8 @@ class RecoveryOrchestrator:
         deltas_replayed = 0
         restore_s = 0.0
         if self.checkpointer is not None:
-            watched = getattr(self.checkpointer, "_watches", {})
             for element in displaced:
-                if element not in watched:
+                if not self.checkpointer.watches(element):
                     continue
                 target = self._store_of(element)
                 if target is None:

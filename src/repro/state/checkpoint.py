@@ -123,6 +123,10 @@ class Checkpointer:
             raise StateError(f"no checkpoint watch for element {element!r}")
         self.watch(element, store, live_of=live_of)
 
+    def watches(self, element: str) -> bool:
+        """Whether ``element``'s state streams to the warm standby."""
+        return element in self._watches
+
     def backlog(self, element: str) -> int:
         """Deltas that a restore right now would have to replay."""
         watch = self._watch(element)
