@@ -31,51 +31,43 @@ the *control plane* a fault domain of its own:
   the split-brain counter stays zero — and a per-trial determinism
   signature.
 
-Everything is deterministic in the seeds: same inputs, same timeline,
-bit-identical signatures.
+:func:`run_control_resilience_scenario` wires the controller pair over
+:class:`~repro.faults.scenario.SessionTallyScenario`, the data plane
+that :func:`~repro.faults.scenario.run_recovery_scenario` runs under a
+single orchestrator, and its :class:`ResilienceResult` extends that
+scenario's record. Everything is deterministic in the seeds: same
+inputs, same timeline, bit-identical signatures.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler.compiler import AdnCompiler
-from ..dsl.ast_nodes import ChainDecl, ColumnDef, StateDecl
-from ..dsl.functions import FunctionRegistry
-from ..dsl.parser import parse
+from ..dsl.ast_nodes import ColumnDef, StateDecl
 from ..dsl.schema import FieldType
-from ..dsl.stdlib import load_stdlib
-from ..dsl.validator import validate_program
 from ..errors import SimulationTimeout
 from ..faults.detector import HeartbeatFailureDetector
-from ..faults.injector import FaultInjector, TimelineEntry
 from ..faults.plan import FAULT_KINDS, FaultPlan, random_multi_fault_plan
-from ..platforms import Platform
+from ..faults.scenario import (
+    STATS_MACHINE,
+    ScenarioResult,
+    SessionTallyScenario,
+)
 from ..runtime.filters import RetryPolicy
-from ..runtime.message import reset_rpc_ids
-from ..runtime.mrpc import AdnMrpcStack
-from ..runtime.processor import PlacementPlan, PlacementSegment
-from ..runtime.telemetry import TelemetryCollector
-from ..sim.cluster import Cluster, Simulator, two_machine_cluster
-from ..sim.workload import ClosedLoopClient
+from ..sim.cluster import Cluster, Simulator
 from ..state.checkpoint import Checkpointer
 from ..state.table import StateStore
-from .controller import RecoveryOrchestrator, RecoveryReport
-from .placement import ClusterSpec
-
-# NOTE: repro.faults.scenario imports repro.control.controller, so this
-# module must not import from it at module scope (circular); the
-# scenario helpers are imported inside the functions that need them.
-
-#: the stateful data host (mirrors repro.faults.scenario.STATS_MACHINE)
-STATS_MACHINE = "stats-host"
+from .controller import RecoveryOrchestrator
 
 #: the controller pair's machine names in the scenario cluster
 CTRL_A = "ctrl-a"
 CTRL_B = "ctrl-b"
+
+#: controller-side re-solve and push latency before a recovery's plan
+#: lands: the window a controller crash or partition can fall into
+PRE_APPLY_DELAY_S = 0.01
 
 #: the journal's element name under the checkpointer
 JOURNAL_ELEMENT = "recovery-journal"
@@ -321,9 +313,8 @@ class ControllerPair:
         started = self.sim.now
         node.takeovers += 1
         rows = deltas = 0
-        if (
-            self.checkpointer is not None
-            and JOURNAL_ELEMENT in getattr(self.checkpointer, "_watches", {})
+        if self.checkpointer is not None and self.checkpointer.watches(
+            JOURNAL_ELEMENT
         ):
             restore = yield self.sim.process(
                 self.checkpointer.restore(JOURNAL_ELEMENT, node.journal)
@@ -348,7 +339,7 @@ class ControllerPair:
                 if machine in resumed:
                     continue
                 node.orchestrator.suspect_sink(self.detector.suspects[machine])
-                if machine in node.orchestrator._in_progress:
+                if node.orchestrator.recovering(machine):
                     swept.append(machine)
         self.failovers.append(
             FailoverReport(
@@ -366,35 +357,15 @@ class ControllerPair:
 # -- the scenario ------------------------------------------------------------
 
 
-@dataclass
-class ResilienceResult:
-    """Everything the resilience tests and benchmarks assert on."""
+class ResilienceResult(ScenarioResult):
+    """The SessionTally record plus what the controller pair did."""
 
-    sim: Simulator
-    cluster: Cluster
-    stack: AdnMrpcStack
-    metrics: object  # RunMetrics
-    fault_plan: FaultPlan
-    timeline: List[TimelineEntry]
-    detector: HeartbeatFailureDetector
-    checkpointer: Checkpointer
-    telemetry: TelemetryCollector
-    injector: FaultInjector
-    lease: LeaseStore
-    pair: ControllerPair
-    nodes: List[ControllerNode]
-    total_rpcs: int = 0
-    #: the workload hit the simulation-time limit before completing
-    #: (the orphaned-mesh signature of the no-failover baseline)
-    timed_out: bool = False
-
-    @property
-    def reports(self) -> List[RecoveryReport]:
-        out: List[RecoveryReport] = []
-        for node in self.nodes:
-            if node.orchestrator is not None:
-                out.extend(node.orchestrator.reports)
-        return sorted(out, key=lambda report: report.recovered_at)
+    def __init__(self, scenario, metrics, total_rpcs, pair, timed_out):
+        super().__init__(scenario, metrics, total_rpcs)
+        self.pair = pair
+        #: the workload hit the simulation-time limit before completing
+        #: (the orphaned-mesh signature of the no-failover baseline)
+        self.timed_out = timed_out
 
     @property
     def failovers(self) -> List[FailoverReport]:
@@ -425,26 +396,8 @@ class ResilienceResult:
     @property
     def abandoned_recoveries(self) -> int:
         return sum(
-            node.orchestrator.abandoned_recoveries
-            for node in self.nodes
-            if node.orchestrator is not None
+            node.orchestrator.abandoned_recoveries for node in self.pair.nodes
         )
-
-    def tally_hits(self) -> int:
-        store = self._tally_store()
-        if store is None:
-            return 0
-        return sum(
-            int(row["hits"])
-            for row in store.table("tally").rows()
-            if str(row["username"]).startswith("user")
-        )
-
-    def _tally_store(self):
-        for processor in self.stack.processors:
-            if "SessionTally" in processor.segment.elements:
-                return processor.element_state("SessionTally")
-        return None
 
     def signature(self) -> str:
         """A deterministic digest of everything observable: equal
@@ -483,137 +436,51 @@ def run_control_resilience_scenario(
     total_rpcs: int = 3000,
     concurrency: int = 4,
     table_rows: int = 200,
-    key_space: int = 16,
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    telemetry_interval_s: float = 0.005,
-    stream_interval_s: float = 0.002,
     fold_every: int = 4,
     horizon_s: float = 2.0,
-    strategy: str = "software",
     standby: bool = True,
     fence_epochs: bool = True,
-    lease_duration_s: float = 0.03,
-    renew_interval_s: float = 0.01,
-    pre_apply_delay_s: float = 0.01,
     gray_factor: float = 0.0,
-    gray_consecutive: int = 3,
-    gray_min_samples: int = 5,
     client_think_s: float = 0.0,
     run_limit_s: Optional[float] = None,
 ) -> ResilienceResult:
-    """The recovery scenario of :mod:`repro.faults.scenario`, with the
-    control plane made mortal: the SessionTally workload runs while
-    ``ctrl-a`` (leader) and optionally ``ctrl-b`` (warm standby) drive
-    detection and recovery under a lease, a journal, and epoch-fenced
-    plan pushes. Fully deterministic in ``seed`` and the plan."""
-    from ..faults.scenario import (
-        SCENARIO_SCHEMA,
-        SESSION_TALLY_SOURCE,
-        default_crash_plan,
-        default_retry_policy,
-    )
-
-    reset_rpc_ids()
-    plan = fault_plan if fault_plan is not None else default_crash_plan(seed=seed)
-    policy = retry_policy or default_retry_policy(seed=seed)
-
-    sim = Simulator()
-    cluster = two_machine_cluster(sim)
-    cluster.add_machine(STATS_MACHINE)
-    cluster.add_machine(CTRL_A)
-    cluster.add_machine(CTRL_B)
-
-    registry = FunctionRegistry(rng=random.Random(seed))
-    program = load_stdlib().merged(parse(SESSION_TALLY_SOURCE))
-    program = validate_program(
-        program, schema=SCENARIO_SCHEMA, registry=registry
-    )
-    compiler = AdnCompiler(registry=registry)
-    chain = compiler.compile_chain(
-        ChainDecl(src="A", dst="B", elements=("SessionTally",)),
-        program,
-        SCENARIO_SCHEMA,
-    )
-    placement = PlacementPlan(
-        segments=[
-            PlacementSegment(
-                platform=Platform.MRPC,
-                machine=STATS_MACHINE,
-                elements=("SessionTally",),
-            )
-        ],
-        description=f"SessionTally on {STATS_MACHINE} (pre-fault)",
-    )
-    stack = AdnMrpcStack(
-        sim,
-        cluster,
-        chain,
-        SCENARIO_SCHEMA,
-        registry,
-        plan=placement,
-        retry_policy=policy,
-    )
-    stack.fence_epochs = fence_epochs
-
-    store = stack.processors[0].element_state("SessionTally")
-    for index in range(table_rows):
-        store.table("tally").insert_values([f"resident{index}", 1])
-
-    checkpointer = Checkpointer(
-        sim, stream_interval_s=stream_interval_s, fold_every=fold_every
-    )
-    checkpointer.watch(
-        "SessionTally",
-        store,
-        live_of=lambda: cluster.machine_up(STATS_MACHINE),
-    )
-
-    telemetry = TelemetryCollector(sim, interval_s=telemetry_interval_s)
-    telemetry.register_stack(stack)
-    detector = HeartbeatFailureDetector(
-        sim,
-        heartbeat_interval_s=telemetry_interval_s,
+    """The SessionTally scenario of :mod:`repro.faults.scenario`, with
+    the control plane made mortal: ``ctrl-a`` (leader) and optionally
+    ``ctrl-b`` (warm standby) drive detection and recovery under a
+    lease, a journal, and epoch-fenced plan pushes. Fully deterministic
+    in ``seed`` and the plan."""
+    scenario = SessionTallyScenario(
+        seed,
+        table_rows,
+        fault_plan,
+        retry_policy,
+        fold_every,
+        extra_machines=(CTRL_A, CTRL_B),
         gray_factor=gray_factor,
-        gray_consecutive=gray_consecutive,
-        gray_min_samples=gray_min_samples,
     )
-    telemetry.add_sink(detector.sink)
-    for _, machine in stack.plan.element_locations().values():
-        detector.expect(machine)
+    sim, checkpointer, detector = (
+        scenario.sim, scenario.checkpointer, scenario.detector
+    )
+    scenario.stack.fence_epochs = fence_epochs
+    scenario.injector.register_detector(detector)
 
-    injector = FaultInjector(sim, cluster)
-    injector.register_stack(stack)
-    injector.register_detector(detector)
-
-    lease = LeaseStore(sim, duration_s=lease_duration_s)
-    nodes = [ControllerNode(CTRL_A, sim, cluster, lease)]
-    if standby:
-        nodes.append(ControllerNode(CTRL_B, sim, cluster, lease))
+    lease = LeaseStore(sim)
+    nodes = [
+        ControllerNode(name, sim, scenario.cluster, lease)
+        for name in ((CTRL_A, CTRL_B) if standby else (CTRL_A,))
+    ]
     for node in nodes:
-        node.orchestrator = RecoveryOrchestrator(
-            sim,
-            stack,
-            SCENARIO_SCHEMA,
-            cluster_spec=ClusterSpec(),
-            strategy=strategy,
-            checkpointer=checkpointer,
-            telemetry=telemetry,
-            detector=detector,
-            crash_times=injector.crash_times,
+        node.orchestrator = scenario.orchestrator(
             epoch_source=node.mint_epoch,
             alive_fn=lambda n=node: n.up,
             push_ok_fn=lambda n=node: n.reachable,
-            pre_apply_delay_s=pre_apply_delay_s,
+            pre_apply_delay_s=PRE_APPLY_DELAY_S,
             journal=node.journal,
         )
     pair = ControllerPair(
-        sim,
-        lease,
-        nodes,
-        checkpointer=checkpointer,
-        detector=detector,
-        renew_interval_s=renew_interval_s,
+        sim, lease, nodes, checkpointer=checkpointer, detector=detector
     )
     # the leader's journal is checkpointed exactly like element state:
     # its delta log streams to the warm standby on the same cadence
@@ -624,27 +491,9 @@ def run_control_resilience_scenario(
     )
     detector.on_suspect(pair.suspect_sink)
 
-    sim.process(telemetry.run(horizon_s))
-    sim.process(detector.run(horizon_s))
-    sim.process(checkpointer.run(horizon_s))
-    sim.process(injector.run(plan))
-    sim.process(pair.run(horizon_s))
-
-    def fields(rng: random.Random, index: int):
-        return {
-            "payload": b"x" * 64,
-            "username": f"user{rng.randrange(key_space)}",
-            "obj_id": rng.randrange(1 << 12),
-        }
-
-    client = ClosedLoopClient(
-        sim,
-        stack.call,
-        concurrency=concurrency,
-        total_rpcs=total_rpcs,
-        seed=seed,
-        fields_fn=fields,
-        think_s=client_think_s,
+    client = scenario.start(
+        total_rpcs, concurrency, horizon_s, client_think_s,
+        processes=[pair.run(horizon_s)],
     )
     limit = run_limit_s if run_limit_s is not None else max(horizon_s * 4, 8.0)
     timed_out = False
@@ -656,24 +505,7 @@ def run_control_resilience_scenario(
         timed_out = True
         metrics = client.metrics
         metrics.elapsed_s = sim.now
-
-    return ResilienceResult(
-        sim=sim,
-        cluster=cluster,
-        stack=stack,
-        metrics=metrics,
-        fault_plan=plan,
-        timeline=list(injector.timeline),
-        detector=detector,
-        checkpointer=checkpointer,
-        telemetry=telemetry,
-        injector=injector,
-        lease=lease,
-        pair=pair,
-        nodes=nodes,
-        total_rpcs=total_rpcs,
-        timed_out=timed_out,
-    )
+    return ResilienceResult(scenario, metrics, total_rpcs, pair, timed_out)
 
 
 # -- chaos soak --------------------------------------------------------------

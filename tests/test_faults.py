@@ -695,7 +695,7 @@ class TestRecoveryScenario:
         assert report.rows_restored >= result.table_rows
         residents = sum(
             1
-            for row in result._tally_store().table("tally").rows()
+            for row in result.tally_store().table("tally").rows()
             if str(row["username"]).startswith("resident")
         )
         assert residents == result.table_rows
