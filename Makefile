@@ -50,56 +50,50 @@ perf-check:
 	    --only fig5-chain,bare-rpc,stateful-zipf,hotel-mesh --reps 1 --seed 7
 
 faults:
-	@# the seeded fault soak (small trial count) plus the end-to-end
-	@# crash-recovery scenario and the faults CLI demo
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_chaos.py -q -k fault_soak
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py -q -k RecoveryScenario
+	@# the end-to-end crash-recovery scenario through the faults CLI
+	@# demo (the fault soak and scenario tests run with `make test`)
 	PYTHONPATH=src $(PYTHON) -m repro faults --rpcs 2000
 
 chaos-soak:
-	@# control-plane resilience: the resilience unit suite, the seeded
-	@# multi-fault chaos soak via the CLI (exits nonzero on any
-	@# split-brain application), and the failover benchmark smoke
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_resilience.py -q
+	@# control-plane resilience: the seeded multi-fault chaos soak via
+	@# the CLI (exits nonzero on any split-brain application) and the
+	@# failover benchmark smoke; the unit suite runs with `make test`
 	PYTHONPATH=src $(PYTHON) -m repro chaos --trials 4 --rpcs 600 \
 	    --json chaos-soak.json
 	PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/test_control_resilience.py -q -k smoke
 
 overload:
-	@# overload-control smoke: the unit suite, the goodput-sweep smoke
-	@# benchmark (baseline collapse vs protected degradation), and the
-	@# overload CLI demo
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_overload.py -q
+	@# overload-control smoke: the goodput-sweep smoke benchmark
+	@# (baseline collapse vs protected degradation) and the overload CLI
+	@# demo; the unit suite runs with `make test`
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_overload.py -q -k smoke
 	PYTHONPATH=src $(PYTHON) -m repro overload --duration 0.05
 
 offload:
-	@# NIC/switch offload smoke: the split-chain/device unit suite, the
-	@# NIC-shed-vs-server-shed goodput benchmark (smoke endpoints), and
-	@# the offload CLI demo
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_offload.py -q
+	@# NIC/switch offload smoke: the NIC-shed-vs-server-shed goodput
+	@# benchmark (smoke endpoints) and the offload CLI demo; the
+	@# split-chain/device unit suite runs with `make test`
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_offload.py -q -k smoke
 	PYTHONPATH=src $(PYTHON) -m repro offload --duration 0.05
 
 graph:
 	@# service-graph layer: topology validation + lint (ADN405) over the
-	@# shipped spec and both built-in graphs, the graph unit suites, and
-	@# a small end-to-end mesh scenario via the CLI demo graph
+	@# shipped spec and both built-in graphs, and a small end-to-end mesh
+	@# scenario via the CLI demo graph; the graph unit suites run with
+	@# `make test`
 	PYTHONPATH=src $(PYTHON) -m repro graph examples/bookinfo.graph.json \
 	    --fail-on warning
 	PYTHONPATH=src $(PYTHON) -m repro graph --demo hotel-mesh \
 	    --fail-on warning --format json >/dev/null
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_graph.py \
-	    tests/test_graph_runtime.py -q
 	PYTHONPATH=src $(PYTHON) examples/bookinfo.py
 
 graph-check:
 	@# interprocedural analyzer (ADN600-ADN606, ADN700-ADN703): the
 	@# shipped bookinfo spec and the hotel-mesh demo must be clean at
 	@# warning level; the intentionally broken retry-storm and
-	@# double-charge specs must FAIL; plus the analyzer unit suite and
-	@# the analyzer-overhead microbenchmark
+	@# double-charge specs must FAIL; plus the analyzer-overhead
+	@# microbenchmark (the analyzer unit suite runs with `make test`)
 	PYTHONPATH=src $(PYTHON) -m repro graph examples/bookinfo.graph.json \
 	    --check --no-place --fail-on warning
 	PYTHONPATH=src $(PYTHON) -m repro graph --demo hotel-mesh --check \
@@ -112,15 +106,14 @@ graph-check:
 	    examples/double_charge.graph.json --check --no-place >/dev/null \
 	    || (echo 'double_charge.graph.json should have failed --check' \
 	        && exit 1)
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_graph_analysis.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/test_graph_analysis_overhead.py -q
 
 sanitize:
-	@# runtime shadow sanitizer: unit suite + chaos trials with the
-	@# sanitizer attached (clean meshes must stay silent under faults;
-	@# the double-charge example must trip it) + overhead bound
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_sanitizer.py -q
+	@# runtime shadow sanitizer: chaos trials with the sanitizer attached
+	@# must stay within the overhead bound; the unit suite (clean meshes
+	@# stay silent under faults, the double-charge example trips it)
+	@# runs with `make test`
 	PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/test_sanitizer_overhead.py -q
 
