@@ -105,9 +105,8 @@ class SimulationError(AdnError):
 
 
 class SimulationTimeout(SimulationError):
-    """``run_until_complete`` reached its limit before the process it
-    waits on finished. Every other :class:`SimulationError` is a fault in
-    the simulated program; this one only says the run was too short."""
+    """``run_until_complete`` hit its limit before the process finished:
+    the run was too short, not a fault in the simulated program."""
 
 
 class RuntimeFault(AdnError):
