@@ -13,12 +13,12 @@ validate them into a :class:`~repro.dsl.ast_nodes.Program`.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .ast_nodes import Program
 from .functions import FunctionRegistry
 from .parser import parse
-from .schema import RpcSchema
+from .schema import FieldSpec, FieldType, RpcSchema
 from .validator import validate_program
 
 #: name → DSL source. Sources intentionally stay "tens of lines" each —
@@ -465,6 +465,21 @@ def _parse(text: str) -> Program:
     return parse(text)
 
 
+@functools.lru_cache(maxsize=32)
+def _validated(
+    text: str, fields: Optional[Tuple[Tuple[str, FieldType], ...]]
+) -> Program:
+    """``text`` parsed and validated against the default registry and a
+    schema with exactly ``fields`` (``None``: no schema), once per
+    process. A failed validation raises and is not cached."""
+    schema = None
+    if fields is not None:
+        schema = RpcSchema("stdlib", {
+            name: FieldSpec(name, field_type) for name, field_type in fields
+        })
+    return validate_program(_parse(text), schema=schema)
+
+
 def load_stdlib(
     names: Optional[list] = None,
     schema: Optional[RpcSchema] = None,
@@ -472,14 +487,30 @@ def load_stdlib(
 ) -> Program:
     """Parse and validate stdlib elements (all of them by default).
 
-    Parsing is memoized per distinct source text; validation runs on
-    every call, since it depends on ``schema`` and ``registry`` (and a
-    registry can gain functions), and it returns new top-level dicts.
-    The ``meta`` dicts of the returned definitions are shared between
+    Parsing is memoized per distinct source text. With the default
+    registry, validation is memoized too, per source text and schema
+    fields read at call time, so a schema extended after a call
+    validates again. That registry only ever gains functions, which
+    cannot change an element that already validated, and a failed
+    validation is not cached. A caller-supplied ``registry`` validates
+    on every call. Each call returns new top-level dicts; the
+    definitions in them, and their ``meta`` dicts, are shared between
     calls: read them, never mutate them."""
     selected = list(names) if names is not None else list(STDLIB_SOURCES)
-    program = _parse(stdlib_source(*selected))
-    return validate_program(program, schema=schema, registry=registry)
+    text = stdlib_source(*selected)
+    if registry is not None:
+        return validate_program(_parse(text), schema=schema, registry=registry)
+    fields = None
+    if schema is not None:
+        fields = tuple(
+            (name, spec.type) for name, spec in schema.fields.items()
+        )
+    program = _validated(text, fields)
+    return Program(
+        elements=dict(program.elements),
+        filters=dict(program.filters),
+        apps=dict(program.apps),
+    )
 
 
 def stdlib_loc(name: str) -> int:

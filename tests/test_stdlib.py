@@ -1,6 +1,7 @@
 """Standard element library: parse/validate + functional behaviour of
 every element through the reference interpreter."""
 
+import collections
 import random
 import zlib
 
@@ -57,27 +58,36 @@ class TestLibraryShape:
 
 class TestParseMemo:
     """``load_stdlib`` parses each distinct source text once per process
-    and validates on every call."""
+    and, with the default registry, validates it once per distinct set
+    of schema fields."""
 
     @pytest.fixture
-    def parses(self, monkeypatch):
-        """Count the parses ``load_stdlib`` makes, from a cold memo."""
+    def counts(self, monkeypatch):
+        """Count the parses and validations ``load_stdlib`` makes, from
+        cold memos."""
         from repro.dsl import stdlib
 
-        calls = []
+        calls = collections.Counter()
         real_parse = stdlib.parse
+        real_validate = stdlib.validate_program
 
         def counting_parse(text):
-            calls.append(text)
+            calls["parse"] += 1
             return real_parse(text)
 
+        def counting_validate(*args, **kwargs):
+            calls["validate"] += 1
+            return real_validate(*args, **kwargs)
+
         monkeypatch.setattr(stdlib, "parse", counting_parse)
+        monkeypatch.setattr(stdlib, "validate_program", counting_validate)
         stdlib._parse.cache_clear()
+        stdlib._validated.cache_clear()
         return calls
 
-    def test_repeat_calls_parse_once(self, parses):
+    def test_repeat_calls_parse_once(self, counts):
         first, second = load_stdlib(), load_stdlib()
-        assert len(parses) == 1
+        assert counts == {"parse": 1, "validate": 1}
         assert first == second
         assert first.elements is not second.elements
         assert first.filters is not second.filters
@@ -91,7 +101,7 @@ class TestParseMemo:
         assert "Acl" in second.elements
         assert len(second.filters) == 4
 
-    def test_patched_source_parses_again(self, parses, monkeypatch):
+    def test_patched_source_parses_again(self, counts, monkeypatch):
         assert "Extra" not in load_stdlib(["Acl"]).elements
         monkeypatch.setitem(
             STDLIB_SOURCES,
@@ -100,17 +110,41 @@ class TestParseMemo:
             + "element Extra { on request { SELECT * FROM input; } }\n",
         )
         assert "Extra" in load_stdlib(["Acl"]).elements
-        assert len(parses) == 2
+        assert counts == {"parse": 2, "validate": 2}
         monkeypatch.undo()
         assert "Extra" not in load_stdlib(["Acl"]).elements
+        assert counts == {"parse": 2, "validate": 2}
 
-    def test_validation_errors_are_not_cached(self, parses):
+    def test_validation_errors_are_not_cached(self, counts):
         narrow = RpcSchema.of("narrow", payload=FieldType.INT)
         for _ in range(2):
             with pytest.raises(DslValidationError, match="username"):
                 load_stdlib(schema=narrow)
-        assert len(parses) == 1
+        assert counts == {"parse": 1, "validate": 2}
         assert "Acl" in load_stdlib().elements
+
+    def test_caller_registry_validates_every_call(self, counts):
+        registry = FunctionRegistry()
+        first = load_stdlib(registry=registry)
+        second = load_stdlib(registry=registry)
+        assert counts == {"parse": 1, "validate": 2}
+        assert first == second == load_stdlib()
+
+    def test_extended_schema_validates_again(self, counts, schema):
+        wider = RpcSchema.of("wider", **{
+            name: spec.type for name, spec in schema.fields.items()
+        })
+        load_stdlib(schema=wider)
+        wider.add("region", FieldType.STR)
+        load_stdlib(schema=wider)
+        load_stdlib(schema=wider)
+        assert counts == {"parse": 1, "validate": 2}
+
+    def test_no_schema_is_not_an_empty_schema(self, counts):
+        assert "Logging" in load_stdlib(["Logging"]).elements
+        with pytest.raises(DslValidationError, match="payload"):
+            load_stdlib(["Logging"], schema=RpcSchema("empty"))
+        assert counts == {"parse": 1, "validate": 2}
 
 
 class TestLogging:
