@@ -79,7 +79,13 @@ from ..ir.passes.dead_fields import Removal, eliminate_dead_fields
 from ..ir.state_access import AccessMode
 from ..lint.diagnostics import Diagnostic, Severity, sort_key
 from .domains import join
-from .typecheck import Env, TypeFinding, check_chain, env_from_schema
+from .typecheck import (
+    ChainTypeReport,
+    Env,
+    TypeFinding,
+    check_chain,
+    env_from_schema,
+)
 from .validate import ValidationVerdict, validate_rewrite
 
 
@@ -842,11 +848,14 @@ def analyze_graph(
 
     edges: Dict[EdgeKey, EdgeAnalysis] = {}
     service_env: Dict[str, Optional[Env]] = {}
-    service_absent: Dict[str, FrozenSet[str]] = {}
     arrivals: Dict[str, List[Tuple[EdgeSpec, Env, FrozenSet[str]]]] = {
         name: [] for name in graph.services
     }
     app_fields = set(schema.application_field_names())
+    # finding keys of each chain against the schema, and the check of
+    # each chain under each delivered environment, by element names
+    known: Dict[Tuple[str, ...], Set[tuple]] = {}
+    delivered_checks: Dict[tuple, ChainTypeReport] = {}
     for service in graph.topological_order():
         incoming = graph.incoming(service)
         if not incoming:
@@ -858,7 +867,6 @@ def analyze_graph(
             # callers exist but none provably completes a request
             env, absent = None, frozenset()
         service_env[service] = env
-        service_absent[service] = absent
 
         # boundary schema compatibility: what this service consumes must
         # actually arrive
@@ -896,19 +904,22 @@ def analyze_graph(
             exit_env: Optional[Env] = env
             delivered: FrozenSet[str] = frozenset()
             if env is not None:
-                baseline = check_chain(elements, schema, registry)
-                interp = check_chain(
-                    elements,
-                    schema,
-                    registry,
-                    env_in=env,
-                    absent_in=service_absent[service],
-                )
-                known = {finding.key() for finding in baseline.findings}
+                # both checks are pure: run each once per distinct input
+                chain = tuple(ir.name for ir in elements)
+                if chain not in known:
+                    baseline = check_chain(elements, schema, registry)
+                    known[chain] = {f.key() for f in baseline.findings}
+                key = (chain, tuple(env.items()), absent)
+                interp = delivered_checks.get(key)
+                if interp is None:
+                    interp = delivered_checks[key] = check_chain(
+                        elements, schema, registry, env_in=env,
+                        absent_in=absent,
+                    )
                 boundary_findings = tuple(
                     finding
                     for finding in interp.findings
-                    if finding.key() not in known
+                    if finding.key() not in known[chain]
                 )
                 diagnostics.extend(
                     _finding_to_diag(finding, edge, path)
@@ -916,6 +927,7 @@ def analyze_graph(
                 )
                 exit_env = interp.request_env
                 if exit_env is not None:
+                    exit_env = dict(exit_env)  # one dict per edge
                     delivered = _delivered_fields(
                         graph, edge, elements, schema
                     )

@@ -337,6 +337,45 @@ class TestAdn606Interprocedural:
             assert analyze(graph).diagnostics == []
 
 
+class TestTypeCheckReuse:
+    """One ``analyze_graph`` call type-checks each distinct chain once
+    against the schema, and once per distinct delivered environment."""
+
+    @pytest.mark.parametrize("name, runs", [
+        ("hotel-mesh", 6),
+        ("bookinfo.graph.json", 4),
+        ("retry_storm.graph.json", 2),
+        ("double_charge.graph.json", 6),
+    ])
+    def test_check_chain_runs_once_per_chain_and_env(
+        self, name, runs, monkeypatch
+    ):
+        import repro.analysis.graph as graph_module
+
+        if name == "hotel-mesh":
+            graph = hotel_mesh_graph()
+        else:
+            graph, _ = load_graph_spec(f"examples/{name}")
+        calls = []
+        real_check_chain = graph_module.check_chain
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_check_chain(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "check_chain", counting)
+        analyze(graph)
+        assert len(calls) == runs
+
+    def test_edges_never_share_an_exit_env(self):
+        edges = analyze(hotel_mesh_graph()).edges.values()
+        envs = [edge.exit_env for edge in edges]
+        assert all(env is not None for env in envs)
+        assert len({id(env) for env in envs}) == len(envs)
+        # reused reports: equal environments, each in its own dict
+        assert len({repr(sorted(env.items())) for env in envs}) < len(envs)
+
+
 class TestAdn600SpecDiagnostics:
     def test_missing_file(self):
         graph, diags = load_graph_spec("examples/no_such_topology.json")
