@@ -39,6 +39,39 @@ def test_missing_input_file_is_a_diagnostic(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, sweep", [
+    ("overload", "repro.overload.sweep.run_overload_sweep"),
+    ("offload", "repro.offload.sweep.run_offload_comparison"),
+])
+@pytest.mark.parametrize("option, value", [
+    ("--multipliers", "x"),
+    ("--multipliers", ","),
+    ("--multipliers", "0"),
+    ("--multipliers", "-1"),
+    ("--multipliers", "inf"),
+    ("--multipliers", "nan"),
+    ("--duration", "0"),
+    ("--duration", "-1"),
+    ("--duration", "inf"),
+    ("--duration", "nan"),
+])
+def test_bad_sweep_load_is_a_diagnostic(
+    command, sweep, option, value, capsys, monkeypatch
+):
+    """A malformed load is one ``error:`` line and exit 1, never an
+    exception out of ``main``, and no simulation starts."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(sweep, no_sweep)
+    assert main([command, option, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} wants ")
+    assert err.count("\n") == 1
+
+
 class TestCheck:
     def test_valid_file(self, dsl_file, capsys):
         assert main(["check", dsl_file]) == 0
