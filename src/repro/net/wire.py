@@ -133,7 +133,12 @@ class AdnWireCodec:
             elif isinstance(value, bytes):
                 raw = value
             elif isinstance(value, str):
-                raw = value.encode()
+                try:
+                    raw = value.encode()
+                except UnicodeEncodeError:
+                    raise RuntimeFault(
+                        f"field {name!r} is not encodable as UTF-8"
+                    ) from None
             else:
                 raw = str(value).encode()
             length = len(raw)
@@ -200,10 +205,15 @@ class AdnWireCodec:
             elif isinstance(value, bytes):
                 length = len(value)
             elif isinstance(value, str):
-                length = (
-                    len(value) if value.isascii()
-                    else len(value.encode("utf-8"))
-                )
+                if value.isascii():
+                    length = len(value)
+                else:
+                    try:
+                        length = len(value.encode("utf-8"))
+                    except UnicodeEncodeError:
+                        raise RuntimeFault(
+                            f"field {name!r} is not encodable as UTF-8"
+                        ) from None
             else:
                 length = len(str(value).encode("utf-8"))
             size += 1 + length + (

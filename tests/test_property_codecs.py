@@ -5,6 +5,7 @@ and HTTP/2 framing."""
 import string
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,11 +74,19 @@ def _schema_and_values(names):
 #: long enough that the varint length prefix takes two bytes
 LONG = 128
 
+#: text UTF-8 cannot encode: a lone surrogate, alone or after ASCII
+LONE_SURROGATE = st.builds(
+    str.__add__,
+    st.text(alphabet=string.ascii_letters, max_size=3),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+)
+
 
 def _wire_values(field_type):
     """Values the ADN codec encodes for a field of ``field_type``: None,
-    values of the type itself and, for variable-width fields, non-ASCII
-    and long text and values it stringifies (numbers, booleans)."""
+    values of the type itself and, for variable-width fields, non-ASCII,
+    unencodable and long text and values it stringifies (numbers,
+    booleans)."""
     if field_type is FieldType.INT:
         return st.none() | INT64
     if field_type is FieldType.FLOAT:
@@ -93,6 +102,7 @@ def _wire_values(field_type):
         st.none()
         | own
         | st.text(alphabet=st.characters(min_codepoint=0x80), min_size=1)
+        | LONE_SURROGATE
         | st.integers()
         | st.floats()
         | st.booleans()
@@ -166,7 +176,26 @@ class TestAdnWire:
             name: data.draw(_wire_values(spec.type), label=name)
             for name, spec in schema.fields.items()
         }
-        assert codec.encoded_size(values) == len(codec.encode(values))
+        try:
+            size = codec.encoded_size(values)
+        except RuntimeFault:
+            # text UTF-8 cannot encode: both calls reject it
+            with pytest.raises(RuntimeFault, match="not encodable as UTF-8"):
+                codec.encode(values)
+        else:
+            assert size == len(codec.encode(values))
+
+    def test_unencodable_text_faults_naming_the_field(self):
+        codec = AdnWireCodec(
+            build_layout({"obj_id": FieldType.INT, "username": FieldType.STR})
+        )
+        row = {"obj_id": 1, "username": "usr\ud800"}
+        for call in (codec.encode, codec.encoded_size):
+            with pytest.raises(
+                RuntimeFault,
+                match="field 'username' is not encodable as UTF-8",
+            ):
+                call(row)
 
     def test_encoded_size_at_varint_boundaries(self):
         codec = AdnWireCodec(build_layout({"blob": FieldType.BYTES}))
