@@ -343,9 +343,15 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
+#: how often an orchestrator whose plan push cannot land (a control
+#: partition) tries it again
+PUSH_RETRY_INTERVAL_S = 0.005
+
+
 class RecoveryOrchestrator:
     """Reacts to failure-detector suspicions by healing one stack:
-    re-solve placement on the surviving cluster, swap the plan in, and
+    re-solve placement on the surviving cluster (the default
+    :class:`ClusterSpec`, software strategy), swap the plan in, and
     restore displaced element state from the checkpointer's warm
     standby (shadow + delta backlog).
 
@@ -361,8 +367,6 @@ class RecoveryOrchestrator:
         sim,
         stack: AdnMrpcStack,
         schema: RpcSchema,
-        cluster_spec: Optional[ClusterSpec] = None,
-        strategy: str = "software",
         checkpointer=None,
         telemetry=None,
         detector=None,
@@ -371,14 +375,11 @@ class RecoveryOrchestrator:
         alive_fn=None,
         push_ok_fn=None,
         pre_apply_delay_s: float = 0.0,
-        push_retry_interval_s: float = 0.005,
         journal=None,
     ):
         self.sim = sim
         self.stack = stack
         self.schema = schema
-        self.cluster_spec = cluster_spec or ClusterSpec()
-        self.strategy = strategy
         self.checkpointer = checkpointer
         self.telemetry = telemetry
         self.detector = detector
@@ -401,7 +402,6 @@ class RecoveryOrchestrator:
         #: partition heals — by which time a new leader's epoch fences it
         self.push_ok_fn = push_ok_fn
         self.pre_apply_delay_s = pre_apply_delay_s
-        self.push_retry_interval_s = push_retry_interval_s
         self.journal = journal
         self.reports: List[RecoveryReport] = []
         self.abandoned_recoveries = 0
@@ -463,7 +463,7 @@ class RecoveryOrchestrator:
             # retrying — the stale-controller-wakes-up case the epoch
             # fence exists for
             while not self.push_ok_fn():
-                yield float(self.push_retry_interval_s)
+                yield PUSH_RETRY_INTERVAL_S
                 if not self._alive():
                     self.abandoned_recoveries += 1
                     self._in_progress.discard(machine)
@@ -477,13 +477,9 @@ class RecoveryOrchestrator:
         # re-solve on the surviving cluster: the solver only ever places
         # on the ClusterSpec hosts and the switch, so a crashed third
         # machine drops out of the plan naturally
-        request = PlacementRequest(
-            chain=stack.chain,
-            schema=self.schema,
-            cluster=self.cluster_spec,
-            strategy=self.strategy,
+        new_plan = solve_placement(
+            PlacementRequest(chain=stack.chain, schema=self.schema)
         )
-        new_plan = solve_placement(request)
         if self.epoch_source is not None:
             new_plan.epoch = self.epoch_source()
         try:

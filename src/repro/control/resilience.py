@@ -69,6 +69,10 @@ CTRL_B = "ctrl-b"
 #: lands: the window a controller crash or partition can fall into
 PRE_APPLY_DELAY_S = 0.01
 
+#: the controller pair's tick: the leader renews its lease and a standby
+#: checks for an expired one this often
+RENEW_INTERVAL_S = 0.01
+
 #: the journal's element name under the checkpointer
 JOURNAL_ELEMENT = "recovery-journal"
 
@@ -260,14 +264,12 @@ class ControllerPair:
         nodes: List[ControllerNode],
         checkpointer: Optional[Checkpointer] = None,
         detector: Optional[HeartbeatFailureDetector] = None,
-        renew_interval_s: float = 0.01,
     ):
         self.sim = sim
         self.lease = lease
         self.nodes = nodes
         self.checkpointer = checkpointer
         self.detector = detector
-        self.renew_interval_s = renew_interval_s
         self.failovers: List[FailoverReport] = []
         self.dropped_suspicions = 0
         # bootstrap: the first node starts as leader (term 1)
@@ -293,7 +295,7 @@ class ControllerPair:
         """Simulation process: lease renewal and takeover on a tick."""
         deadline = self.sim.now + duration_s
         while self.sim.now < deadline:
-            yield float(self.renew_interval_s)
+            yield RENEW_INTERVAL_S
             for node in self.nodes:
                 if not (node.up and node.reachable):
                     continue
