@@ -74,12 +74,8 @@ def wrap_timeout(sim: Simulator, call: CallFn, timeout_ms: float) -> CallFn:
         timer = sim.timeout(timeout_s, value=_TIMED_OUT)
         winner = yield sim.any_of([in_flight, timer])
         if isinstance(winner, _TimeoutSentinel):
-            return RpcOutcome(
-                request=dict(fields),
-                response={"status": "aborted:Timeout", "kind": "response"},
-                issued_at=issued_at,
-                completed_at=sim.now,
-                aborted_by="Timeout",
+            return RpcOutcome.client_abort(
+                fields, "Timeout", issued_at, sim.now
             )
         return winner
 
@@ -112,7 +108,6 @@ def wrap_retry(
         )
         while True:
             outcome: RpcOutcome = yield sim.process(call(**fields))
-            outcome.notes["attempts"] = attempts + 1
             if outcome.ok or attempts >= max_retries:
                 return outcome
             if outcome.aborted_by not in retryable:
@@ -203,7 +198,6 @@ def wrap_retry_policy(
     call: CallFn,
     policy: RetryPolicy,
     stats: Optional[RetryStats] = None,
-    stable_rpc_id: bool = True,
     budget: Optional[RetryBudget] = None,
     breaker: Optional[CircuitBreaker] = None,
     propagate_deadline: bool = False,
@@ -211,10 +205,9 @@ def wrap_retry_policy(
 ) -> CallFn:
     """Wrap ``call`` with a :class:`RetryPolicy`.
 
-    With ``stable_rpc_id`` (for callables that accept an ``rpc_id``
-    field, like ``AdnMrpcStack.call_raw``) every attempt of one logical
-    call reuses the same id, which is how the server side can count
-    duplicate executions.
+    Every attempt of one logical call carries the same ``rpc_id`` field
+    (``AdnMrpcStack.call_raw`` issues its request under it), which is
+    how the server side can count duplicate executions.
 
     Overload protection (repro.overload) layers on top:
 
@@ -242,18 +235,10 @@ def wrap_retry_policy(
             budget.on_call()
         if breaker is not None and not breaker.allow():
             stats.short_circuited += 1
-            return RpcOutcome(
-                request=dict(fields),
-                response={
-                    "status": f"aborted:{CIRCUIT_OPEN}",
-                    "kind": "response",
-                },
-                issued_at=issued_at,
-                completed_at=sim.now,
-                aborted_by=CIRCUIT_OPEN,
+            return RpcOutcome.client_abort(
+                fields, CIRCUIT_OPEN, issued_at, sim.now
             )
-        if stable_rpc_id:
-            fields.setdefault("rpc_id", next(ids))
+        fields.setdefault("rpc_id", next(ids))
         deadline = (
             issued_at + policy.deadline_budget_ms * 1e-3
             if policy.deadline_budget_ms is not None
@@ -285,16 +270,11 @@ def wrap_retry_policy(
                 # the attempt is still parked somewhere (blackholed, or
                 # just slow); the caller moves on — work is not refunded
                 stats.timeouts += 1
-                outcome = RpcOutcome(
-                    request=dict(fields),
-                    response={"status": "aborted:Timeout", "kind": "response"},
-                    issued_at=issued_at,
-                    completed_at=sim.now,
-                    aborted_by="Timeout",
+                outcome = RpcOutcome.client_abort(
+                    fields, "Timeout", issued_at, sim.now
                 )
             else:
                 outcome = winner
-            outcome.notes["attempts"] = attempt
             if outcome.ok or attempt >= policy.max_attempts:
                 return _finish(outcome)
             if outcome.aborted_by not in retryable:
@@ -401,55 +381,10 @@ def wrap_congestion_control(
             window.release(ok=False)
             raise
         window.release(ok=outcome.ok)
-        outcome.notes["cwnd"] = window.cwnd
         return outcome
 
     shaped.window = window  # type: ignore[attr-defined]
     return shaped
-
-
-class _CircuitBreaker:
-    """Trip open after ``failure_threshold`` consecutive failures;
-    half-open after ``reset_ms`` lets one probe through."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        failure_threshold: int = 5,
-        reset_ms: float = 50.0,
-    ):
-        self.sim = sim
-        self.failure_threshold = failure_threshold
-        self.reset_s = reset_ms * 1e-3
-        self.consecutive_failures = 0
-        self.opened_at: Optional[float] = None
-        self.short_circuited = 0
-
-    @property
-    def state(self) -> str:
-        if self.opened_at is None:
-            return "closed"
-        if self.sim.now - self.opened_at >= self.reset_s:
-            return "half-open"
-        return "open"
-
-    def allow(self) -> bool:
-        state = self.state
-        if state == "closed":
-            return True
-        if state == "half-open":
-            return True  # one probe; outcome decides
-        self.short_circuited += 1
-        return False
-
-    def record(self, ok: bool) -> None:
-        if ok:
-            self.consecutive_failures = 0
-            self.opened_at = None
-            return
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= self.failure_threshold:
-            self.opened_at = self.sim.now
 
 
 def wrap_circuit_breaker(
@@ -458,25 +393,26 @@ def wrap_circuit_breaker(
     failure_threshold: int = 5,
     reset_ms: float = 50.0,
 ) -> CallFn:
-    """Short-circuit calls while the downstream is failing; probe after
-    a cool-down. Exposes the breaker as ``shaped.breaker``."""
-    breaker = _CircuitBreaker(sim, failure_threshold, reset_ms)
+    """Short-circuit calls with a ``CircuitBreaker`` abort once
+    ``failure_threshold`` calls in a row aborted (any abort counts);
+    after ``reset_ms`` one probe goes through and its outcome re-closes
+    or re-opens the breaker. It is the retry policy's
+    :class:`~repro.overload.CircuitBreaker`, exposed as
+    ``shaped.breaker``."""
+    breaker = CircuitBreaker(
+        sim,
+        CircuitBreakerPolicy(
+            failure_threshold=failure_threshold, open_ms=reset_ms
+        ),
+    )
 
     def shaped(**fields) -> Generator:
         if not breaker.allow():
-            return RpcOutcome(
-                request=dict(fields),
-                response={
-                    "status": "aborted:CircuitBreaker",
-                    "kind": "response",
-                },
-                issued_at=sim.now,
-                completed_at=sim.now,
-                aborted_by="CircuitBreaker",
+            return RpcOutcome.client_abort(
+                fields, "CircuitBreaker", sim.now, sim.now
             )
         outcome: RpcOutcome = yield sim.process(call(**fields))
         breaker.record(outcome.ok)
-        outcome.notes["breaker_state"] = breaker.state
         return outcome
 
     shaped.breaker = breaker  # type: ignore[attr-defined]

@@ -10,7 +10,7 @@ the app's :class:`~repro.dsl.schema.RpcSchema`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from ..dsl.schema import RpcSchema
@@ -94,7 +94,20 @@ class RpcOutcome:
     completed_at: float
     aborted_by: str = ""
     mirrored: int = 0
-    notes: Dict[str, object] = field(default_factory=dict)
+
+    @classmethod
+    def client_abort(
+        cls, request: Row, reason: str, issued_at: float, completed_at: float
+    ) -> "RpcOutcome":
+        """An abort the client side answers itself, with no response
+        from the path (a timeout, an open circuit breaker)."""
+        return cls(
+            request=dict(request),
+            response={"status": f"aborted:{reason}", "kind": "response"},
+            issued_at=issued_at,
+            completed_at=completed_at,
+            aborted_by=reason,
+        )
 
     @property
     def latency_s(self) -> float:

@@ -24,7 +24,7 @@ Key fidelity points:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Generator, List, Optional, Sequence
 
 from ..compiler.compiler import CompiledChain
 from ..compiler.headers import plan_hop_headers
@@ -128,7 +128,7 @@ class AdnMrpcStack:
         filter_order: Optional[Sequence[str]] = None,
         guarantees=None,
         server_handler=None,
-        tracing: bool = False,
+        spans: Optional[list] = None,
         retry_policy=None,
         queue_limit: Optional[int] = None,
         admission: Optional[AdmissionConfig] = None,
@@ -160,13 +160,13 @@ class AdnMrpcStack:
         #: share a service name on one cluster (fan-out edges out of one
         #: service each need their own inbox)
         self.l2_tag = l2_tag
-        self.plan = plan or default_plan(chain, machine=client_machine)
+        plan = plan or default_plan(chain, machine=client_machine)
         #: epoch fence (repro.control.resilience): the newest
         #: configuration epoch this stack has accepted. ``apply_plan``
         #: rejects epoch-carrying plans that are not strictly newer —
         #: the defense against a deposed controller double-applying a
         #: superseded placement. Legacy epoch-0 plans stay unfenced.
-        self.config_epoch = self.plan.epoch
+        self.config_epoch = plan.epoch
         self.fence_epochs = True
         self.stale_plans_rejected = 0
         #: only ever nonzero with ``fence_epochs`` off (the split-brain
@@ -185,10 +185,11 @@ class AdnMrpcStack:
         #: microservice calling downstream services) and returns a dict
         #: of application-field overrides for the response
         self.server_handler = server_handler
-        #: when set, every outcome carries notes["trace"]: a list of
-        #: (span_name, enter_s, exit_s) covering processors and hops
-        #: (§5.3: processors report tracing information)
-        self.tracing = tracing
+        #: the span sink (§5.3: processors report tracing information).
+        #: When a list, every processor visit and wire hop appends
+        #: ``(rpc_id, span_name, enter_s, exit_s)``, ``rpc_id`` being the
+        #: id of the request ``call_raw`` issued; None records nothing
+        self.spans = spans
         self._next_seq = 0
         self._last_seq_seen = -1
         self.out_of_order_detected = 0
@@ -214,14 +215,6 @@ class AdnMrpcStack:
         self._sanitizer_instance = (
             l2_tag or f"{client_service}->{server_service}"
         )
-        self.processors: List[ProcessorRuntime] = [
-            ProcessorRuntime(
-                sim, cluster, segment, chain, registry, handcoded,
-                sanitizer=sanitizer,
-                sanitizer_instance=self._sanitizer_instance,
-            )
-            for segment in self.plan.segments
-        ]
         #: overload-control configuration (repro.overload): bounded
         #: queues + admission control on every processor, and deadline
         #: propagation on the wire whenever the retry policy carries a
@@ -236,29 +229,7 @@ class AdnMrpcStack:
         #: assume every schema field) — narrows the request hop header
         #: exactly like repro.analysis.graph computed it
         self._app_reads = app_reads
-        self._nic_rx_processor = self._find_nic_rx(self.processors)
-        self._configure_overload(self.processors)
-        self._transport: Dict[str, Resource] = {}
-        for side, machine_name, mode in (
-            ("client", client_machine, self.plan.client_transport),
-            ("server", server_machine, self.plan.server_transport),
-        ):
-            machine = cluster.machine(machine_name)
-            if mode == "engine":
-                self._transport[side] = machine.thread("mrpc-engine")
-            else:  # proxyless: the app thread owns the wire
-                self._transport[side] = (
-                    self.client_app if side == "client" else self.server_app
-                )
-        #: execution order along the path (the plan may have reordered
-        #: elements relative to the chain, e.g. for switch offload)
-        self._traversal_order = [
-            name
-            for segment in self.plan.segments
-            for name in segment.elements
-        ]
-        self._seed_load_balancers()
-        self._codec = self._build_codec()
+        self._install(plan)
         self.wire_bytes_total = 0
         self.mirrored_total = 0
         #: fault observability (repro.faults): attempts that vanished
@@ -311,16 +282,50 @@ class AdnMrpcStack:
 
     # -- setup -----------------------------------------------------------
 
-    def _configure_overload(
-        self, processors: List[ProcessorRuntime]
-    ) -> None:
-        """Apply stack-level overload controls to a processor set (also
-        re-applied after a failover re-plan): bound every processor's
-        queue and install an admission controller per processor. Meta-
-        driven installs (the stdlib ``AdmissionControl`` element) happen
-        inside ProcessorRuntime and win only when the stack itself does
-        not configure admission."""
-        for processor in processors:
+    def _install(self, plan: PlacementPlan) -> None:
+        """Build the hop for ``plan``: its processors with receive-side
+        dispatch and overload controls, each side's transport, the
+        traversal order, load-balancer endpoints and the hop codecs.
+        Construction and every re-plan (:meth:`apply_plan`) run this."""
+        self.plan = plan
+        self.processors: List[ProcessorRuntime] = [
+            ProcessorRuntime(
+                self.sim, self.cluster, segment, self.chain, self.registry,
+                self.handcoded,
+                sanitizer=self.sanitizer,
+                sanitizer_instance=self._sanitizer_instance,
+            )
+            for segment in plan.segments
+        ]
+        self._nic_rx_processor = self._find_nic_rx()
+        self._configure_overload()
+        self._transport: Dict[str, Resource] = {}
+        for side, machine_name, mode in (
+            ("client", self.client_machine, plan.client_transport),
+            ("server", self.server_machine, plan.server_transport),
+        ):
+            machine = self.cluster.machine(machine_name)
+            if mode == "engine":
+                self._transport[side] = machine.thread("mrpc-engine")
+            else:  # proxyless: the app thread owns the wire
+                self._transport[side] = (
+                    self.client_app if side == "client" else self.server_app
+                )
+        #: execution order along the path (the plan may have reordered
+        #: elements relative to the chain, e.g. for switch offload)
+        self._traversal_order = [
+            name for segment in plan.segments for name in segment.elements
+        ]
+        self._seed_load_balancers()
+        self._codec = self._build_codec()
+
+    def _configure_overload(self) -> None:
+        """Apply stack-level overload controls to the processors: bound
+        every processor's queue and install an admission controller per
+        processor. Meta-driven installs (the stdlib ``AdmissionControl``
+        element) happen inside ProcessorRuntime and win only when the
+        stack itself does not configure admission."""
+        for processor in self.processors:
             if processor.resource is None:
                 continue  # switch pipeline: line rate, nothing queues
             if self._queue_limit is not None:
@@ -347,12 +352,10 @@ class AdnMrpcStack:
                     )
                 )
 
-    def _find_nic_rx(
-        self, processors: List[ProcessorRuntime]
-    ) -> Optional[ProcessorRuntime]:
+    def _find_nic_rx(self) -> Optional[ProcessorRuntime]:
         """The server-side SmartNIC processor, if the plan placed one —
         it owns receive-side dispatch for this hop."""
-        for processor in processors:
+        for processor in self.processors:
             segment = processor.segment
             if (
                 segment.platform is Platform.SMARTNIC
@@ -467,14 +470,15 @@ class AdnMrpcStack:
         sender: Optional[Resource],
         message: Row,
         span: str,
-        trace: List[Tuple[str, float, float]],
+        rpc_id: object,
         deadline_at: Optional[float] = None,
     ) -> Generator:
-        """Carry one message across the wire and return what the far
-        side receives: ``sender`` pays the transport CPU (nobody does on
-        a line-rate switch), the wire holds it for its arithmetic size,
-        and :meth:`_cross_wire` makes the one real encode and decode. A
-        frame that dies en route parks the attempt under ``span``."""
+        """Carry one message of the RPC ``rpc_id`` across the wire and
+        return what the far side receives: ``sender`` pays the transport
+        CPU (nobody does on a line-rate switch), the wire holds it for
+        its arithmetic size, and :meth:`_cross_wire` makes the one real
+        encode and decode. A frame that dies en route parks the attempt
+        under ``span``."""
         codec = self._codec_for(message)
         wire = wire_bytes_for_message(codec.encoded_size(message))
         if sender is not None:
@@ -490,8 +494,8 @@ class AdnMrpcStack:
         received = self._cross_wire(message, deadline_at=deadline_at)
         if received is None:
             yield from self._lost(span)
-        if self.tracing:
-            trace.append((span, hop_started, self.sim.now))
+        if self.spans is not None:
+            self.spans.append((rpc_id, span, hop_started, self.sim.now))
         return received
 
     def _cross_wire(
@@ -582,13 +586,16 @@ class AdnMrpcStack:
             dst=self.server_service,
             **fields,
         )
+        # the issued id: an element that narrows its output may drop
+        # rpc_id from the tuple a hop carries
+        rpc_id = request["rpc_id"]
         if self.sanitizer is not None:
             # attempts of one logical RPC share an rpc_id (the retry
             # wrapper pins it), so the counter makes attempt 2+ visible
             # to the sanitizer as duplicate executions; scoped by stack
             # because each stack's wrapper numbers ids independently
             self.sanitizer.note_attempt(
-                request.get("rpc_id"), scope=self._sanitizer_instance
+                rpc_id, scope=self._sanitizer_instance
             )
         mirrored = 0
         # client app issues into shared memory
@@ -600,7 +607,6 @@ class AdnMrpcStack:
             self.costs.mrpc_dispatch_us * US
         )
 
-        trace: List[Tuple[str, float, float]] = []
         current: Row = request
         crossed_wire = False
         dropped_by: Optional[str] = None
@@ -613,7 +619,7 @@ class AdnMrpcStack:
                 # leave the client host
                 current = yield from self._send_hop(
                     self._transport["client"], current, "wire:forward",
-                    trace, deadline_at=deadline_at,
+                    rpc_id, deadline_at=deadline_at,
                 )
                 deadline_at = self._deadline_after_wire(current)
                 crossed_wire = True
@@ -623,15 +629,14 @@ class AdnMrpcStack:
             result = yield from processor.execute(
                 "request", current, deadline_at=deadline_at
             )
-            if self.tracing:
-                trace.append(
-                    (
-                        f"request:{processor.segment.platform.value}"
-                        f"@{processor.segment.machine}",
-                        span_started,
-                        self.sim.now,
-                    )
-                )
+            if self.spans is not None:
+                self.spans.append((
+                    rpc_id,
+                    f"request:{processor.segment.platform.value}"
+                    f"@{processor.segment.machine}",
+                    span_started,
+                    self.sim.now,
+                ))
             mirrored += result.mirrored
             if result.dropped_by:
                 dropped_by = result.dropped_by
@@ -644,7 +649,7 @@ class AdnMrpcStack:
             if not crossed_wire:
                 current = yield from self._send_hop(
                     self._transport["client"], current, "wire:forward",
-                    trace, deadline_at=deadline_at,
+                    rpc_id, deadline_at=deadline_at,
                 )
                 deadline_at = self._deadline_after_wire(current)
                 crossed_wire = True
@@ -682,10 +687,8 @@ class AdnMrpcStack:
                 # at-least-once bookkeeping: with a retry policy, attempts
                 # of one logical RPC share an rpc_id — a retry after the
                 # server already ran (response lost coming back) shows here
-                executions = (
-                    self._server_executions.get(request["rpc_id"], 0) + 1
-                )
-                self._server_executions[request["rpc_id"]] = executions
+                executions = self._server_executions.get(rpc_id, 0) + 1
+                self._server_executions[rpc_id] = executions
                 if executions > 1:
                     self.duplicate_server_executions += 1
                 if self.server_handler is not None:
@@ -735,28 +738,27 @@ class AdnMrpcStack:
             ):
                 response = yield from self._send_hop(
                     self._return_wire_resource(dropped_by, dropping_processor),
-                    response, "wire:return", trace,
+                    response, "wire:return", rpc_id,
                 )
                 returned_wire = False
             if not processor.live:
                 yield from self._lost(f"crash:{processor.segment.machine}")
             span_started = self.sim.now
             result = yield from processor.execute("response", response)
-            if self.tracing:
-                trace.append(
-                    (
-                        f"response:{processor.segment.platform.value}"
-                        f"@{processor.segment.machine}",
-                        span_started,
-                        self.sim.now,
-                    )
-                )
+            if self.spans is not None:
+                self.spans.append((
+                    rpc_id,
+                    f"response:{processor.segment.platform.value}"
+                    f"@{processor.segment.machine}",
+                    span_started,
+                    self.sim.now,
+                ))
             if result.outputs:
                 response = result.outputs[0]
         if returned_wire:
             response = yield from self._send_hop(
                 self._return_wire_resource(dropped_by, dropping_processor),
-                response, "wire:return", trace,
+                response, "wire:return", rpc_id,
             )
         if crossed_wire:
             # client engine receives the response off the wire
@@ -772,7 +774,7 @@ class AdnMrpcStack:
             (self.costs.client_complete_us + self.costs.mrpc_shm_post_us) * US
         )
         self.mirrored_total += mirrored
-        outcome = RpcOutcome(
+        return RpcOutcome(
             request=request,
             response=response,
             issued_at=issued_at,
@@ -780,9 +782,6 @@ class AdnMrpcStack:
             aborted_by=dropped_by or "",
             mirrored=mirrored,
         )
-        if self.tracing:
-            outcome.notes["trace"] = trace
-        return outcome
 
     def _return_wire_resource(
         self,
@@ -865,40 +864,7 @@ class AdnMrpcStack:
         old = self.processors
         for processor in old:
             processor.detach_sanitizer()
-        self.plan = new_plan
-        self.processors = [
-            ProcessorRuntime(
-                self.sim,
-                self.cluster,
-                segment,
-                self.chain,
-                self.registry,
-                self.handcoded,
-                sanitizer=self.sanitizer,
-                sanitizer_instance=self._sanitizer_instance,
-            )
-            for segment in new_plan.segments
-        ]
-        for side, machine_name, mode in (
-            ("client", self.client_machine, new_plan.client_transport),
-            ("server", self.server_machine, new_plan.server_transport),
-        ):
-            machine = self.cluster.machine(machine_name)
-            if mode == "engine":
-                self._transport[side] = machine.thread("mrpc-engine")
-            else:
-                self._transport[side] = (
-                    self.client_app if side == "client" else self.server_app
-                )
-        self._traversal_order = [
-            name
-            for segment in new_plan.segments
-            for name in segment.elements
-        ]
-        self._nic_rx_processor = self._find_nic_rx(self.processors)
-        self._configure_overload(self.processors)
-        self._seed_load_balancers()
-        self._codec = self._build_codec()
+        self._install(new_plan)
         return old
 
     # -- accounting -----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Runtime tests: messages, placed processors, and the ADN/mRPC path."""
 
+import random
+
 import pytest
 
 from repro.compiler.compiler import AdnCompiler
@@ -13,6 +15,7 @@ from repro.runtime import (
     ProcessorRuntime,
     default_plan,
 )
+from repro.runtime.filters import RetryPolicy
 from repro.runtime.message import (
     is_aborted,
     make_abort,
@@ -523,50 +526,80 @@ class TestServerComposition:
         assert bytes(outcome.response["payload"]) == b"downstream-denied"
 
 
+def split_plan(chain):
+    """The chain's first element on the client host, the rest on the
+    server host."""
+    order = chain.element_order
+    return PlacementPlan(
+        segments=[
+            PlacementSegment(
+                platform=Platform.MRPC,
+                machine="client-host",
+                elements=order[:1],
+            ),
+            PlacementSegment(
+                platform=Platform.MRPC,
+                machine="server-host",
+                elements=order[1:],
+            ),
+        ]
+    )
+
+
+def spans_by_rpc(spans):
+    """A span sink's ``(rpc_id, name, enter, exit)`` tuples grouped into
+    one ``(name, enter, exit)`` list per RPC id, in sink order."""
+    by_rpc = {}
+    for rpc_id, name, enter, exit_ in spans:
+        by_rpc.setdefault(rpc_id, []).append((name, enter, exit_))
+    return by_rpc
+
+
 class TestTracing:
-    """Per-RPC traces (§5.3: processors report tracing information)."""
+    """Per-RPC spans (§5.3: processors report tracing information)."""
 
     def run_traced(self, username="usr2"):
+        """One RPC through a stack with a span sink: its outcome and its
+        spans, the only RPC id in the sink."""
         reset_rpc_ids()
         chain, registry = build_chain("Logging", "Acl", "Fault")
         sim = Simulator()
         cluster = two_machine_cluster(sim)
+        spans = []
         stack = AdnMrpcStack(
-            sim, cluster, chain, SCHEMA, registry, tracing=True
+            sim, cluster, chain, SCHEMA, registry, spans=spans
         )
         process = sim.process(
             stack.call(payload=b"x", username=username, obj_id=1)
         )
-        return sim.run_until_complete(process)
+        outcome = sim.run_until_complete(process)
+        assert {span[0] for span in spans} == {outcome.request["rpc_id"]}
+        return outcome, [span[1:] for span in spans]
 
     def test_trace_covers_path(self):
-        outcome = self.run_traced()
-        trace = outcome.notes["trace"]
+        _outcome, trace = self.run_traced()
         names = [span[0] for span in trace]
         assert "request:mrpc@client-host" in names
         assert "wire:forward" in names
         assert "response:mrpc@client-host" in names
 
     def test_spans_are_ordered_and_nonnegative(self):
-        outcome = self.run_traced()
-        trace = outcome.notes["trace"]
+        _outcome, trace = self.run_traced()
         for _name, enter, exit_ in trace:
             assert exit_ >= enter
         enters = [span[1] for span in trace]
         assert enters == sorted(enters)
 
     def test_span_time_within_total(self):
-        outcome = self.run_traced()
-        spanned = sum(
-            exit_ - enter for _n, enter, exit_ in outcome.notes["trace"]
-        )
+        outcome, trace = self.run_traced()
+        spanned = sum(exit_ - enter for _n, enter, exit_ in trace)
         assert spanned <= outcome.latency_s + 1e-12
 
     def test_aborted_rpc_has_short_trace(self):
-        ok = self.run_traced("usr2")
-        denied = self.run_traced("usr1")
+        _ok, ok_trace = self.run_traced("usr2")
+        denied, denied_trace = self.run_traced("usr1")
         assert denied.aborted_by == "Acl"
-        assert len(denied.notes["trace"]) < len(ok.notes["trace"])
+        assert len(denied_trace) < len(ok_trace)
 
     def test_split_placement_spans_are_pinned(self):
         """Span names and times of three concurrent RPCs (one denied on
@@ -576,36 +609,24 @@ class TestTracing:
         separate process, so the move must leave them bit-identical."""
         reset_rpc_ids()
         chain, registry = build_chain("Logging", "Acl", "Fault")
-        order = chain.element_order
-        plan = PlacementPlan(
-            segments=[
-                PlacementSegment(
-                    platform=Platform.MRPC,
-                    machine="client-host",
-                    elements=order[:1],
-                ),
-                PlacementSegment(
-                    platform=Platform.MRPC,
-                    machine="server-host",
-                    elements=order[1:],
-                ),
-            ]
-        )
         sim = Simulator()
         cluster = two_machine_cluster(sim)
+        spans = []
         stack = AdnMrpcStack(
-            sim, cluster, chain, SCHEMA, registry, plan=plan, tracing=True
+            sim, cluster, chain, SCHEMA, registry, plan=split_plan(chain),
+            spans=spans,
         )
         processes = [
             sim.process(stack.call(payload=b"x", username=user, obj_id=index))
             for index, user in enumerate(["usr2", "usr1", "usr2"])
         ]
         sim.run()
+        by_rpc = spans_by_rpc(spans)
         got = [
             (
                 process.value.aborted_by,
                 process.value.completed_at,
-                process.value.notes["trace"],
+                by_rpc[process.value.request["rpc_id"]],
             )
             for process in processes
         ]
@@ -637,14 +658,70 @@ class TestTracing:
             ]),
         ]
 
+    def test_sink_changes_no_simulated_result(self):
+        """A closed loop over a split chain whose retry policy's
+        per-attempt timeout fires, so attempts share an rpc_id and some
+        time out: the same run with the sink off and on."""
+
+        def run(spans):
+            reset_rpc_ids()
+            chain, registry = build_chain(
+                "Logging", "Acl", "Fault",
+                registry=FunctionRegistry(rng=random.Random(5)),
+            )
+            sim = Simulator()
+            cluster = two_machine_cluster(sim)
+            stack = AdnMrpcStack(
+                sim, cluster, chain, SCHEMA, registry,
+                plan=split_plan(chain), spans=spans,
+                retry_policy=RetryPolicy(
+                    max_attempts=3, per_attempt_timeout_ms=0.2
+                ),
+            )
+            issued = set()
+
+            def call(**fields):
+                outcome = yield sim.process(stack.call(**fields))
+                issued.add(outcome.request["rpc_id"])
+                return outcome
+
+            metrics = ClosedLoopClient(
+                sim, call, concurrency=32, total_rpcs=300, seed=3
+            ).run()
+            sim.run()  # the attempts that timed out finish too
+            return (
+                metrics.issued,
+                metrics.completed,
+                metrics.aborted_by,
+                metrics.latency.samples,
+                stack.wire_bytes_total,
+                stack.cpu_busy_by_machine(),
+                stack.retry_stats,
+            ), issued
+
+        spans = []
+        untraced, _ = run(None)
+        traced, issued = run(spans)
+        assert traced == untraced
+        assert traced[-1].timeouts > 0
+        assert {span[0] for span in spans} == issued
+        assert all(enter <= exit_ for _id, _n, enter, exit_ in spans)
+        # a retried attempt enters the client processor under its
+        # logical call's id again
+        entries = [
+            rpc_id for rpc_id, name, _enter, _exit in spans
+            if name == "request:mrpc@client-host"
+        ]
+        assert len(entries) > len(set(entries))
+
     def test_tracing_off_by_default(self):
         reset_rpc_ids()
         chain, registry = build_chain("Acl")
         sim = Simulator()
         cluster = two_machine_cluster(sim)
         stack = AdnMrpcStack(sim, cluster, chain, SCHEMA, registry)
+        assert stack.spans is None
         process = sim.process(
             stack.call(payload=b"x", username="usr2", obj_id=1)
         )
-        outcome = sim.run_until_complete(process)
-        assert "trace" not in outcome.notes
+        assert sim.run_until_complete(process).ok
