@@ -12,10 +12,12 @@ generic operator dispatch), mirroring how the real compiler specializes
 Rust code per element. A ``JOIN``, ``UPDATE`` or ``DELETE`` whose leading
 ``==`` conjuncts pin every key column of its table fetches the one
 candidate row with :meth:`~repro.state.table.StateTable.lookup`; every
-other predicate, and every ``*_of`` aggregate, scans the table. The
-residual genericity — output tuples are materialized as fresh dicts per
-emit — is what produces the paper's 3–12% gap versus hand-written
-modules, which skip materialization entirely.
+other predicate scans the table. Every ``*_of`` aggregate calls
+:meth:`~repro.state.table.StateTable.aggregate`, which answers ``sum_of``
+and ``avg_of`` over an ``int`` column from a running total and scans
+for the rest. The residual genericity — output tuples are materialized
+as fresh dicts per emit — is what produces the paper's 3–12% gap versus
+hand-written modules, which skip materialization entirely.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from ...ir.expr_utils import (
     conjuncts,
     key_pins,
     references_table,
-    run_column_aggregate,
     truthy,
 )
 from ...ir.nodes import (
@@ -142,7 +143,7 @@ class _ExprCompiler:
             assert isinstance(table, ColumnRef)
             assert isinstance(column, ColumnRef)
             return (
-                f"_agg({call.name!r}, _tables[{table.name!r}], "
+                f"_tables[{table.name!r}].aggregate({call.name!r}, "
                 f"{column.name!r})"
             )
         args = ", ".join(self.compile(arg) for arg in call.args)
@@ -197,7 +198,6 @@ class PythonBackend(Backend):
             namespace: Dict[str, object] = {
                 "_truthy": truthy,
                 "_cmp": compare,
-                "_agg": run_column_aggregate,
             }
             for func_name in _used_functions(element):
                 spec = registry.get(func_name)

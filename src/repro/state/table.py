@@ -5,6 +5,8 @@ element state is *decoupled from code and tabular*: the controller can
 snapshot a table, split it by key across new instances, or merge the
 tables of instances being decommissioned. This module implements those
 operations with schema checking and a delta log for live migration.
+Every table also keeps a running sum and count of each ``int`` column,
+so generated code answers ``sum_of``/``avg_of`` without a scan.
 
 Tables come in three shapes:
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dsl.ast_nodes import StateDecl
-from ..dsl.schema import COMPARABLE_TYPES
+from ..dsl.schema import COMPARABLE_TYPES, FieldType
 from ..errors import StateError
 
 Row = Dict[str, object]
@@ -70,6 +72,19 @@ class StateTable:
             for col in decl.columns
             if col.is_key
         )
+        #: what the row check compares each write against: the column
+        #: names, and per column its exact Python type (the fast path)
+        #: and its field type (what decides any other value)
+        self._column_set = frozenset(self.columns)
+        self._column_types: Tuple[Tuple[str, type, FieldType], ...] = tuple(
+            (col.name, col.type.python_type, col.type) for col in decl.columns
+        )
+        #: per ``int`` column, [sum, count] of its non-NULL values, kept
+        #: by every mutation path; :meth:`aggregate` answers ``sum_of`` and
+        #: ``avg_of`` from them
+        self._totals: Dict[str, List[int]] = {
+            col.name: [0, 0] for col in decl.columns if col.type is FieldType.INT
+        }
         self._by_key: Dict[Tuple[object, ...], Row] = {}
         self._rows: List[Row] = []  # for bag / append-only tables
         self._delta_log: Optional[List[Delta]] = None
@@ -97,18 +112,54 @@ class StateTable:
         return tuple(row[col] for col in self.key_columns)
 
     def _check_row(self, row: Row) -> Row:
-        if set(row) != set(self.columns):
+        if row.keys() != self._column_set:
             raise StateError(
                 f"table {self.name!r}: row fields {sorted(row)} != "
                 f"columns {sorted(self.columns)}"
             )
-        for col in self.decl.columns:
-            if row[col.name] is not None and not col.type.accepts(row[col.name]):
+        for name, exact, field_type in self._column_types:
+            value = row[name]
+            if (
+                value is not None
+                and type(value) is not exact
+                and not field_type.accepts(value)
+            ):
                 raise StateError(
-                    f"table {self.name!r}: column {col.name!r} expects "
-                    f"{col.type.value}, got {row[col.name]!r}"
+                    f"table {self.name!r}: column {name!r} expects "
+                    f"{field_type.value}, got {value!r}"
                 )
         return row
+
+    def _tally(self, row: Row, sign: int) -> None:
+        """Add (``sign`` 1) or take out (-1) ``row`` from the running
+        totals of the int columns."""
+        for column, total in self._totals.items():
+            value = row[column]
+            if value is not None:
+                total[0] += sign * value
+                total[1] += sign
+
+    def aggregate(self, name: str, column: str) -> object:
+        """``sum_of``/``min_of``/``max_of``/``avg_of`` of ``column``, the
+        one entry generated code calls for a column aggregate.
+
+        An int column's sum and average come from its running total in
+        O(1): int arithmetic is exact, so the total equals a fresh sum.
+        Every other aggregate scans the rows with the interpreter's
+        :func:`~repro.ir.expr_utils.run_column_aggregate`; a float
+        column keeps the scan because a running float sum rounds
+        differently from a fresh left-to-right one.
+        """
+        total = self._totals.get(column)
+        if total is not None:
+            if name == "sum_of":
+                return total[0]
+            if name == "avg_of":
+                return total[0] / total[1] if total[1] else None
+        # imported here: repro.ir imports this module
+        from ..ir.expr_utils import run_column_aggregate
+
+        return run_column_aggregate(name, self, column)
 
     def contains_key(self, value: object) -> bool:
         """Membership test on the (single-column) key; used by the DSL's
@@ -158,14 +209,19 @@ class StateTable:
     # -- mutations ------------------------------------------------------
 
     def insert(self, row: Row) -> None:
-        row = dict(self._check_row(dict(row)))
+        row = self._check_row(dict(row))
         previous: Optional[Row] = None
         if self.keyed:
-            previous = self._by_key.get(self._key_of(row))
-            self._by_key[self._key_of(row)] = row
+            key = self._key_of(row)
+            previous = self._by_key.get(key)
+            self._by_key[key] = row
+            if previous is not None:
+                self._tally(previous, -1)
         else:
             self._rows.append(row)
-        self._log(Delta.of("insert", row))
+        self._tally(row, 1)
+        if self._delta_log is not None:
+            self._delta_log.append(Delta.of("insert", row))
         if self.observer is not None:
             self.observer.on_insert(self, row, previous)
 
@@ -200,20 +256,27 @@ class StateTable:
     def update_row(self, row: Row, new_values: Dict[str, object]) -> None:
         """Update one row of this table in place: the per-row body of
         :meth:`update_where`, which keyed-lookup code calls directly
-        (never on an append-only table)."""
+        (never on an append-only table). The new row is checked before
+        anything is written, so a rejected update leaves the row as it
+        was."""
         if any(col in self.key_columns for col in new_values):
             raise StateError(
                 f"table {self.name!r}: updating key columns is not allowed"
             )
-        before = dict(row)
+        after = self._check_row({**row, **new_values})
+        before = dict(row) if self.observer is not None else None
+        self._tally(row, -1)
         row.update(new_values)
-        self._check_row(row)
-        self._log(Delta.of("update", row))
+        self._tally(row, 1)
+        if self._delta_log is not None:
+            self._delta_log.append(Delta.of("update", row))
         if self.observer is not None and before != row:
-            self.observer.on_update(self, before, dict(row))
+            self.observer.on_update(self, before, after)
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> int:
-        """Delete rows matching ``predicate``; returns the count."""
+        """Delete rows matching ``predicate``; returns the count. Every
+        row is tested before any is deleted, so a predicate that faults
+        part-way deletes nothing."""
         if self.append_only:
             raise StateError(f"delete on append-only table {self.name!r}")
         if self.keyed:
@@ -221,14 +284,14 @@ class StateTable:
             for row in doomed:
                 self.delete_row(row)
             return len(doomed)
-        removed = 0
+        matches = [predicate(row) for row in self._rows]
         kept: List[Row] = []
-        for row in self._rows:
-            if predicate(row):
+        for row, matched in zip(self._rows, matches):
+            if matched:
                 self._note_delete(row)
-                removed += 1
             else:
                 kept.append(row)
+        removed = len(self._rows) - len(kept)
         self._rows = kept
         return removed
 
@@ -236,17 +299,21 @@ class StateTable:
         """Delete one row of a keyed table: the per-row body of
         :meth:`delete_where`, which keyed-lookup code calls directly
         (never on an append-only table)."""
-        self._note_delete(row)
         del self._by_key[self._key_of(row)]
+        self._note_delete(row)
 
     def _note_delete(self, row: Row) -> None:
-        self._log(Delta.of("delete", row))
+        self._tally(row, -1)
+        if self._delta_log is not None:
+            self._delta_log.append(Delta.of("delete", row))
         if self.observer is not None:
             self.observer.on_delete(self, row)
 
     def clear(self) -> None:
         self._by_key.clear()
         self._rows.clear()
+        for total in self._totals.values():
+            total[0] = total[1] = 0
 
     # -- snapshot / migration --------------------------------------------------
 
@@ -279,18 +346,16 @@ class StateTable:
                 self.insert(row)  # keyed insert is an upsert
             elif delta.op == "delete":
                 if self.keyed:
-                    self._by_key.pop(self._key_of(row), None)
+                    removed = self._by_key.pop(self._key_of(row), None)
                 else:
                     try:
-                        self._rows.remove(row)
+                        removed = self._rows.pop(self._rows.index(row))
                     except ValueError:
-                        pass
+                        removed = None
+                if removed is not None:
+                    self._tally(removed, -1)
             else:
                 raise StateError(f"unknown delta op {delta.op!r}")
-
-    def _log(self, delta: Delta) -> None:
-        if self._delta_log is not None:
-            self._delta_log.append(delta)
 
     # -- split / merge (paper §5.2) ----------------------------------------
 

@@ -2,8 +2,9 @@
 
 Every stdlib element (built unoptimized), the two fused elements the full
 optimizer pipeline makes of (Metrics, GlobalQuota, Cache) and of
-(Logging, Acl, Fault), and a synthetic keyed-write element run through
-both the generated Python module and the reference interpreter. Inputs
+(Logging, Acl, Fault), a synthetic keyed-write element and a synthetic
+column-aggregate element run through both the generated Python module
+and the reference interpreter. Inputs
 are Hypothesis-drawn: tables preloaded with random rows, then 1-40
 request/response rows whose ``username``, ``method`` and ``obj_id`` come
 from small pools (so keys repeat), occasionally NULL, absent or of the
@@ -14,7 +15,8 @@ same costed registry calls. At the end their state snapshots, delta logs
 and table-observer event streams must be equal.
 
 The boundary tests pin which predicates compile to a keyed lookup and
-which stay scans, and one sha256 pins every static fact the shared
+which stay scans, which column aggregates generated code answers from a
+table's running totals, and one sha256 pins every static fact the shared
 key-pinning walk feeds.
 """
 
@@ -41,6 +43,7 @@ from repro.ir.expr_utils import TABLE_ARG_FUNCS, compare, truthy
 from repro.ir.interp import ElementInstance
 from repro.ir.nodes import AdvanceInput
 from repro.ir.optimizer import OptimizerOptions
+from repro.state.table import StateTable
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 SCHEMA = RpcSchema.of(
@@ -69,6 +72,25 @@ element KeyedWrites {
             WHERE obj_id == input.obj_id AND username == input.username
               AND hits >= 2;
         SELECT * FROM input;
+    }
+}
+
+element Aggregates {
+    state t (k: str KEY, v: int, f: float);
+    on request {
+        INSERT INTO t SELECT input.username, input.obj_id, 0.5 FROM input
+            WHERE sum_of(t, v) < 5;
+        UPDATE t SET v = v + 1, f = f + 1.5
+            WHERE k == input.username AND sum_of(t, v) < 5;
+        SELECT input.*, sum_of(t, v) AS total, avg_of(t, v) AS mean,
+               sum_of(t, f) AS ftotal, min_of(t, v) AS low,
+               max_of(t, v) AS high
+        FROM input;
+    }
+    on response {
+        DELETE FROM t WHERE k == input.username AND sum_of(t, v) < 5;
+        SELECT input.*, sum_of(t, v) AS total, avg_of(t, v) AS mean
+        FROM input;
     }
 }
 """
@@ -101,7 +123,7 @@ ELEMENTS.update(
     for ir in (
         _fused(("Metrics", "GlobalQuota", "Cache")),
         _fused(("Logging", "Acl", "Fault")),
-        _unoptimized(_program(SYNTHETIC).elements["KeyedWrites"]),
+        *map(_unoptimized, _program(SYNTHETIC).elements.values()),
     )
 )
 ARTIFACTS = {}
@@ -386,6 +408,17 @@ class TestKeyedSemantics:
         )
         assert snapshot["tables"]["t"] == [{"k": 2, "v": 1}, {"k": 3, "v": 0}]
 
+    def test_rejected_update_leaves_the_row(self):
+        # the int column rejects v / 2; neither runtime keeps half a write
+        results, snapshot = _run_both(
+            _element("t (k: str KEY, v: int)",
+                     "UPDATE t SET v = v / 2 WHERE k == input.username;"),
+            {"t": [{"k": "usr1", "v": 1}]},
+            [{"username": "usr1"}, {"username": "usr1"}],
+        )
+        assert results == ["raised", "raised"]
+        assert snapshot["tables"]["t"] == [{"k": "usr1", "v": 1}]
+
 
 class TestLookupOrScan:
     """Which predicates the backend answers from the key."""
@@ -454,6 +487,93 @@ class TestLookupOrScan:
         source = _element(state, body)[0].source
         assert "_tables['t'].update_where(" in source
         assert ".lookup(" not in source
+
+
+def _count_scans(monkeypatch):
+    """Names of the tables whose rows are iterated from now on."""
+    scanned = []
+    rows = StateTable.rows
+
+    def counted(table):
+        scanned.append(table.name)
+        return rows(table)
+
+    monkeypatch.setattr(StateTable, "rows", counted)
+    return scanned
+
+
+AGGREGATE_STATE = "t (k: str KEY, v: int, f: float)"
+AGGREGATE_ROWS = [
+    {"k": "a", "v": 2, "f": 0.5},
+    {"k": "b", "v": None, "f": 1.5},
+    {"k": "c", "v": 3, "f": None},
+]
+
+
+class TestRunningTotals:
+    """Which column aggregates generated code answers without a scan."""
+
+    @pytest.mark.parametrize(
+        "aggregate, scans",
+        [
+            # an int column's sum and average read its running total
+            ("sum_of(t, v)", 0),
+            ("avg_of(t, v)", 0),
+            # a running float sum would round differently from a scan
+            ("sum_of(t, f)", 1),
+            ("avg_of(t, f)", 1),
+            ("min_of(t, v)", 1),
+            ("max_of(t, v)", 1),
+        ],
+    )
+    def test_only_int_sums_and_averages_skip_the_scan(
+        self, monkeypatch, aggregate, scans
+    ):
+        element = _element(
+            AGGREGATE_STATE, f"SELECT input.*, {aggregate} AS agg FROM input;"
+        )
+        results, _snapshot = _run_both(
+            element, {"t": AGGREGATE_ROWS}, [{"username": "a"}]
+        )
+        instance = element[0].factory()
+        for row in AGGREGATE_ROWS:
+            instance.state.table("t").insert(row)
+        scanned = _count_scans(monkeypatch)
+        assert instance.process({"username": "a"}, "request") == results[0]
+        assert scanned == ["t"] * scans
+
+    def test_a_delete_that_faults_keeps_the_totals(self):
+        # the first request matches x = 1, then divides by the x = 0 row;
+        # the second reads the sum the fault must not have changed
+        results, snapshot = _run_both(
+            _element(
+                "b (x: int)",
+                "DELETE FROM b WHERE x > input.obj_id AND 100 / x > 1; "
+                "SELECT input.*, sum_of(b, x) AS total FROM input;",
+            ),
+            {"b": [{"x": 1}, {"x": 0}]},
+            [{"obj_id": -1}, {"obj_id": 5}],
+        )
+        assert results == ["raised", [{"obj_id": 5, "total": 1}, {"obj_id": 5}]]
+        assert snapshot["tables"]["b"] == [{"x": 1}, {"x": 0}]
+
+    def test_global_quota_never_scans_usage(self, monkeypatch):
+        # 50 requests on a 1000-row table, new users and known ones: the
+        # three sum_of(usage, used) per request all read the total
+        instance = _artifact("GlobalQuota").factory()
+        usage = instance.state.table("usage")
+        for index in range(1000):
+            usage.insert({"username": f"usr{index}", "used": index % 3})
+        scanned = _count_scans(monkeypatch)
+        for index in range(50):
+            emitted = instance.process(
+                {"username": f"usr{index * 21}", "payload": b""}, "request"
+            )
+            assert len(emitted) == 1
+        assert scanned == []
+        # two new users, and each request added one to some row
+        assert len(usage) == 1002
+        assert usage.aggregate("sum_of", "used") == 999 + 50
 
 
 # -- one comparison for both runtimes -----------------------------------------------

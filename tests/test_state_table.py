@@ -1,5 +1,7 @@
 """State table tests: CRUD, schema checking, split/merge, delta logs."""
 
+from unittest import mock
+
 import pytest
 
 from repro.dsl.ast_nodes import ColumnDef, StateDecl
@@ -104,6 +106,62 @@ class TestBasicOps:
         table.insert({"x": 1})
         table.insert({"x": 1})
         assert len(table) == 2
+
+
+class TestFailedWrites:
+    """A write that is rejected or faults leaves the table as it was."""
+
+    def table(self):
+        table = StateTable(
+            StateDecl(
+                name="t",
+                columns=(
+                    ColumnDef("k", FieldType.STR, is_key=True),
+                    ColumnDef("v", FieldType.INT),
+                ),
+            )
+        )
+        table.insert({"k": "a", "v": 1})
+        table.observer = mock.Mock()
+        table.start_delta_log()
+        return table
+
+    def assert_untouched(self, table):
+        assert table.snapshot() == [{"k": "a", "v": 1}]
+        assert table.drain_delta_log() == []
+        assert table.observer.method_calls == []
+        assert table.aggregate("sum_of", "v") == 1
+        assert table.aggregate("avg_of", "v") == 1.0
+
+    def test_mistyped_value_writes_nothing(self):
+        table = self.table()
+        for _ in range(2):
+            with pytest.raises(
+                StateError, match="column 'v' expects int, got 0.5"
+            ):
+                table.update_where(
+                    lambda row: True, lambda row: {"v": row["v"] / 2}
+                )
+        self.assert_untouched(table)
+
+    def test_unknown_column_writes_nothing(self):
+        table = self.table()
+        with pytest.raises(StateError, match="row fields"):
+            table.update_row(table.get("a"), {"w": 2})
+        self.assert_untouched(table)
+
+    def test_bag_delete_that_faults_part_way_deletes_nothing(self):
+        table = StateTable(bag_decl())
+        for x in (1, 0, 2):
+            table.insert({"x": x})
+        table.observer = mock.Mock()
+        table.start_delta_log()
+        with pytest.raises(ZeroDivisionError):
+            table.delete_where(lambda row: 100 / row["x"] > 1)
+        assert table.snapshot() == [{"x": 1}, {"x": 0}, {"x": 2}]
+        assert table.drain_delta_log() == []
+        assert table.observer.method_calls == []
+        assert table.aggregate("sum_of", "x") == 3
 
 
 class TestAppendOnly:
