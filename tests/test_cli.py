@@ -1,5 +1,8 @@
 """CLI tests (``python -m repro``)."""
 
+import hashlib
+import re
+
 import pytest
 
 from repro.cli import main
@@ -179,6 +182,112 @@ class TestCompile:
         out = capsys.readouterr().out
         assert "dropped dead field 'audit_zone'" in out
         assert "fused AuditStamp + Logging + Fault + Acl" in out
+
+
+#: a failing user-only element, then a failing override of the stdlib's
+#: first element: validation meets the override first (it sits at the
+#: stdlib's position in the merged program), so every command names
+#: 'nosuch' on line 8, whatever the schema
+EXTRA_THEN_LOGGING = """\
+element Extra {
+    on request {
+        SELECT input.*, other AS tag FROM input;
+    }
+}
+
+element Logging {
+    on request { SELECT input.*, nosuch AS tag FROM input; }
+}
+"""
+
+#: valid overrides of the only stdlib elements that fail under
+#: payload:bytes + username:str; the overridden copies are never
+#: validated, so the file is accepted under that schema
+OVERRIDES = """\
+element LbKeyHash {
+    on request { SELECT * FROM input; }
+}
+
+element AccessControl {
+    on request { SELECT * FROM input; }
+}
+
+element Cache {
+    on request { SELECT * FROM input; }
+}
+"""
+
+NARROW = ("--field", "payload:bytes", "--field", "username:str")
+
+#: (argv, exit code, first 16 hex of the sha256 of the canonical
+#: stdout or "" for none, canonical stderr); {extra} and {overrides}
+#: name the files above
+LOAD_PINS = [
+    (("check", "examples/explain_demo.adn"), 0, "0cdaa370b271c500", ""),
+    (("compile", "examples/explain_demo.adn"), 0, "24e5c994ef8cfc8e", ""),
+    (("compile", "--verify", "examples/explain_demo.adn"), 0,
+     "a358b6d51eabd4c4", ""),
+    (("check", "--field", "x:int", "examples/explain_demo.adn"), 1, "",
+     "<file>: error: unknown input field 'payload' (line 5, column 68)\n"),
+    (("compile", "--field", "x:int", "examples/explain_demo.adn"), 1, "",
+     "error: unknown input field 'payload' (line 5, column 68)\n"),
+    (("compile", "--verify", "--field", "x:int",
+      "examples/explain_demo.adn"), 1, "",
+     "error: unknown input field 'payload' (line 5, column 68)\n"),
+    *(
+        (command + fields + ("{extra}",), 1, "",
+         ("<file>: " if command == ("check",) else "")
+         + "error: unresolved name 'nosuch' (line 8, column 34)\n")
+        for fields in ((), ("--field", "x:int"), ("--field", "username:str"))
+        for command in (("check",), ("compile",), ("compile", "--verify"))
+    ),
+    (("check",) + NARROW + ("{overrides}",), 0, "687c480d1b9c0a8d", ""),
+    (("compile",) + NARROW + ("{overrides}",), 0, "71f0b6ef3fdc46af", ""),
+    (("compile", "--verify") + NARROW + ("{overrides}",), 0,
+     "d688a9e4da224d5b", ""),
+    (("check",) + NARROW + ("examples/lint_demo.adn",), 1, "",
+     "<file>: error: unknown input field 'obj_id' (line 49, column 49)\n"),
+    (("compile",) + NARROW + ("examples/lint_demo.adn",), 1, "",
+     "error: unknown input field 'obj_id' (line 49, column 49)\n"),
+    (("compile", "--verify") + NARROW + ("examples/lint_demo.adn",), 1, "",
+     "error: unknown input field 'obj_id' (line 49, column 49)\n"),
+    (("check", "--no-stdlib", "examples/explain_demo.adn"), 1, "",
+     "<file>: error: app 'ExplainDemo': chain uses unknown element "
+     "'Logging' (line 25, column 5)\n"),
+    (("check", "--no-stdlib", "{overrides}"), 0, "687c480d1b9c0a8d", ""),
+]
+
+
+class TestLoadOutcomes:
+    """``check``, ``compile`` and ``compile --verify`` all read a file
+    through ``_load``, which validates it over the stdlib: these pin
+    what each prints and returns, above all which error comes first
+    when both the file and the stdlib fail under a schema."""
+
+    @staticmethod
+    def canonical(text, path):
+        """``text`` with the input's path as ``<file>`` and timings
+        masked (pass tables print ms and widen their columns to fit)."""
+        text = re.sub(r"\d+\.\d+", "#", text.replace(path, "<file>"))
+        return re.sub(r"-{2,}", "--", re.sub(r" {2,}", " ", text))
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout, stderr", LOAD_PINS,
+        ids=[" ".join(case[0]) for case in LOAD_PINS],
+    )
+    def test_outcome_pinned(
+        self, argv, code, stdout, stderr, tmp_path, capsys
+    ):
+        files = {"{extra}": EXTRA_THEN_LOGGING, "{overrides}": OVERRIDES}
+        path = argv[-1]
+        if path in files:
+            (tmp_path / "input.adn").write_text(files[path])
+            path = str(tmp_path / "input.adn")
+        assert main(list(argv[:-1]) + [path]) == code
+        out, err = capsys.readouterr()
+        out = self.canonical(out, path)
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16] if out else ""
+        assert (digest, self.canonical(err, path)) == (stdout, stderr), out
 
 
 class TestPlan:
