@@ -21,15 +21,22 @@ pre-pass chain three ways:
 Nondeterminism is pinned per message: before each message, ``rand()`` is
 re-seeded and ``now()`` bound to a constant, identically for both runs,
 so a legal rewrite cannot diverge through the RNG or the clock.
+
+In a pipeline, pass k+1's before chain is pass k's after chain. A
+verdict therefore carries what it computed about its after chain as
+:class:`ChainFacts`, and the next verdict takes them as its before side
+instead of type-checking that chain again and, when it mines the same
+exemplar messages, instead of replaying it again. The after side is
+always computed afresh, so a broken pass still fails.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dsl.ast_nodes import Literal
+from ..dsl.ast_nodes import FuncCall, Literal
 from ..dsl.functions import DEFAULT_REGISTRY, FunctionRegistry
 from ..dsl.schema import META_FIELDS, FieldType, RpcSchema
 from ..dsl.span import Span
@@ -40,13 +47,35 @@ from ..ir.nodes import ElementIR, statement_exprs
 from ..ir.passes.parallelize import stages_partition
 from ..ir.passes.reorder import inversions
 from .domains import compatible
-from .typecheck import check_chain
+from .typecheck import ChainTypeReport, check_chain
 
 #: exemplar messages per validation (typical + edge per field, wrapped)
 DEFAULT_MESSAGE_COUNT = 5
 
 #: cap on mined literals folded into the exemplar value pools
 _LITERAL_POOL_CAP = 4
+
+#: the calls a replay pins before each message (``_pin_nondeterminism``)
+_PINNED_CALLS = frozenset({"now", "rand"})
+
+
+@dataclass(frozen=True)
+class ChainFacts:
+    """What a verdict computed about one chain: its type report and the
+    exemplar messages it replayed the chain on, with the trace when a
+    second replay would give the same one (``None`` otherwise). They
+    hold for exactly these element objects, under the schema and
+    registry of the verdict that computed them."""
+
+    elements: Tuple[ElementIR, ...]
+    types: ChainTypeReport
+    messages: Tuple[Dict[str, object], ...]
+    trace: Optional[List[object]]
+
+    def describes(self, elements: Sequence[ElementIR]) -> bool:
+        return len(self.elements) == len(elements) and all(
+            a is b for a, b in zip(self.elements, elements)
+        )
 
 
 @dataclass(frozen=True)
@@ -55,6 +84,7 @@ class ValidationVerdict:
 
     ``ok`` is ``None`` when validation could not run (no schema to derive
     exemplars from) — the pass is neither vindicated nor condemned.
+    ``facts`` describe the after chain, for the next pass's verdict.
     """
 
     ok: Optional[bool]
@@ -62,6 +92,9 @@ class ValidationVerdict:
     counterexample: str = ""
     span: Optional[Span] = None
     notes: Tuple[str, ...] = ()
+    facts: Optional[ChainFacts] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def validate_rewrite(
@@ -71,11 +104,18 @@ def validate_rewrite(
     registry: Optional[FunctionRegistry] = None,
     pass_name: str = "",
     stages: Sequence[Tuple[str, ...]] = (),
+    facts: Optional[ChainFacts] = None,
 ) -> ValidationVerdict:
-    """Check that ``after`` preserves the semantics of ``before``."""
+    """Check that ``after`` preserves the semantics of ``before``.
+
+    ``facts`` that describe ``before`` (the previous verdict's, in a
+    pipeline over one schema and registry) stand in for its type check,
+    and for its replay when the exemplar messages are the same."""
     registry = registry or DEFAULT_REGISTRY
     before = list(before)
     after = list(after)
+    if facts is not None and not facts.describes(before):
+        facts = None
 
     # structural certificates first: they need no schema
     if stages and not stages_partition(
@@ -109,7 +149,11 @@ def validate_rewrite(
 
     if _chains_equal(before, after):
         return ValidationVerdict(
-            ok=True, notes=("structurally identical; nothing to replay",)
+            ok=True,
+            notes=("structurally identical; nothing to replay",),
+            facts=(
+                facts if facts is not None and facts.describes(after) else None
+            ),
         )
 
     if schema is None:
@@ -118,7 +162,10 @@ def validate_rewrite(
         )
 
     # abstract agreement on the wire environment
-    env_before = check_chain(before, schema, registry)
+    env_before = (
+        facts.types if facts is not None
+        else check_chain(before, schema, registry)
+    )
     env_after = check_chain(after, schema, registry)
     wire_fields = list(schema.fields) + list(META_FIELDS)
     for direction, a_env, b_env in (
@@ -163,8 +210,22 @@ def validate_rewrite(
         count=DEFAULT_MESSAGE_COUNT,
         literal_pool=_mine_literals(before),
     )
-    trace_before = _run_trace(before, messages, schema, registry)
+    # repr tells apart values == does not (1, 1.0 and True; 0.0 and -0.0)
+    if (
+        facts is not None
+        and facts.trace is not None
+        and repr(facts.messages) == repr(messages)
+    ):
+        trace_before = facts.trace
+    else:
+        trace_before = _run_trace(before, messages, schema, registry)
     trace_after = _run_trace(after, messages, schema, registry)
+    after_facts = ChainFacts(
+        elements=tuple(after),
+        types=env_after,
+        messages=messages,
+        trace=trace_after if _replays_alike(after, registry) else None,
+    )
     divergence = _first_divergence(trace_before, trace_after, messages)
     if divergence is not None:
         return ValidationVerdict(
@@ -172,11 +233,13 @@ def validate_rewrite(
             checked_messages=len(messages),
             counterexample=divergence,
             span=_divergence_span(before, after),
+            facts=after_facts,
         )
     return ValidationVerdict(
         ok=True,
         checked_messages=len(messages),
         notes=(f"replayed {len(messages)} exemplar message(s): identical",),
+        facts=after_facts,
     )
 
 
@@ -273,6 +336,36 @@ def _run_trace(
         registry.bind_rng(saved_rng)
         registry.bind_clock(saved_clock)
     return trace
+
+
+def _replays_alike(
+    elements: Sequence[ElementIR], registry: FunctionRegistry
+) -> bool:
+    """Whether replaying ``elements`` again on the same messages gives
+    the same trace. Handlers may call ``now()`` and ``rand()``, which the
+    replay pins per message, but no other nondeterministic function. An
+    init block runs when the replay builds its executor, before any
+    pinning, so it may call none: there ``rand()`` draws from the
+    registry's own generator and moves it on."""
+    for element in elements:
+        blocks = [(element.init, frozenset())] + [
+            (handler.statements, _PINNED_CALLS)
+            for handler in element.handlers.values()
+        ]
+        for statements, pinned in blocks:
+            for stmt in statements:
+                for expr in statement_exprs(stmt):
+                    for node in walk(expr):
+                        if (
+                            isinstance(node, FuncCall)
+                            and node.name not in pinned
+                            and not (
+                                node.name in registry
+                                and registry.get(node.name).deterministic
+                            )
+                        ):
+                            return False
+    return True
 
 
 def _pin_nondeterminism(registry: FunctionRegistry, index: int) -> None:

@@ -39,6 +39,7 @@ from .control.placement import ClusterSpec, PlacementRequest, solve_placement
 from .dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib, parse
 from .dsl.ast_nodes import ChainDecl
 from .dsl.printer import print_program
+from .dsl.stdlib import validate_over_stdlib
 from .dsl.validator import validate_program
 from .errors import AdnError
 
@@ -79,8 +80,9 @@ def _load(path: str, schema: RpcSchema, include_stdlib: bool = True):
     those definitions validated over the stdlib)."""
     source = _read(path)
     own = parse(source)
-    program = load_stdlib().merged(own) if include_stdlib else own
-    return source, own, validate_program(program, schema=schema)
+    if include_stdlib:
+        return source, own, validate_over_stdlib(own, schema)
+    return source, own, validate_program(own, schema=schema)
 
 
 def _lint_run(items, options, stdlib: bool):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, Optional, Tuple
 
+from ..errors import AdnError
 from .ast_nodes import Program
 from .functions import FunctionRegistry
 from .parser import parse
@@ -511,6 +512,31 @@ def load_stdlib(
         filters=dict(program.filters),
         apps=dict(program.apps),
     )
+
+
+def validate_over_stdlib(
+    own: Program, schema: Optional[RpcSchema] = None
+) -> Program:
+    """What ``validate_program(load_stdlib().merged(own), schema=schema)``
+    returns or raises, validating only ``own``'s definitions: the rest of
+    the stdlib comes from :func:`load_stdlib`'s memo. A stdlib definition
+    that ``own`` overrides (an element by an element, a filter by a
+    filter) is never validated."""
+    stdlib = _parse(stdlib_source(*STDLIB_SOURCES))
+    overridden = (stdlib.elements.keys() & own.elements.keys()) | (
+        stdlib.filters.keys() & own.filters.keys()
+    )
+    try:
+        known = load_stdlib(
+            [name for name in STDLIB_SOURCES if name not in overridden],
+            schema=schema,
+        )
+    except AdnError:
+        # a stdlib definition fails under this schema; the merged program,
+        # validated whole, meets every definition in the same order as
+        # ever, so it names the same first error
+        return validate_program(load_stdlib().merged(own), schema=schema)
+    return validate_program(stdlib.merged(own), schema=schema, known=known)
 
 
 def stdlib_loc(name: str) -> int:

@@ -755,14 +755,24 @@ def validate_program(
     program: Program,
     schema: Optional[RpcSchema] = None,
     registry: Optional[FunctionRegistry] = None,
+    known: Optional[Program] = None,
 ) -> Program:
-    """Validate every element, filter, and app of a parsed program."""
+    """Validate every element, filter, and app of a parsed program. An
+    element or filter that ``known`` (validated with the same schema and
+    registry) holds by name is taken from it, not validated again."""
+    known = known or Program()
     elements = {
-        name: validate_element(element, schema, registry)
+        name: (
+            known.elements[name] if name in known.elements
+            else validate_element(element, schema, registry)
+        )
         for name, element in program.elements.items()
     }
     filters = {
-        name: validate_filter(filter_def)
+        name: (
+            known.filters[name] if name in known.filters
+            else validate_filter(filter_def)
+        )
         for name, filter_def in program.filters.items()
     }
     validated = Program(elements=elements, filters=filters, apps=program.apps)

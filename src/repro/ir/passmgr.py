@@ -158,8 +158,8 @@ class ConstantFoldingPass(Pass):
             folded = fold_constants_element(element, context.registry)
             if folded.handlers != element.handlers or folded.init != element.init:
                 rewrites += 1
-            analyze_element(folded, context.registry)
-            state.elements[index] = folded
+                analyze_element(folded, context.registry)
+                state.elements[index] = folded
         return PassOutcome(rewrites=rewrites)
 
 
@@ -176,8 +176,8 @@ class PredicatePushdownPass(Pass):
             pushed = pushdown_element(element)
             if pushed.handlers != element.handlers:
                 rewrites += 1
-            analyze_element(pushed, context.registry)
-            state.elements[index] = pushed
+                analyze_element(pushed, context.registry)
+                state.elements[index] = pushed
         return PassOutcome(rewrites=rewrites)
 
 
@@ -346,8 +346,11 @@ class PassManager:
                 analyze_element(element, context.registry)
         verify = bool(getattr(options, "verify", False))
         reports: List[PassReport] = []
+        # each pipeline state's size and validation facts are computed
+        # once: what one pass leaves is what the next one starts from
+        size_before = chain_ir_size(state.elements)
+        facts = None
         for pass_ in self.passes:
-            size_before = chain_ir_size(state.elements)
             if not pass_.enabled(options):
                 reports.append(
                     PassReport(
@@ -382,8 +385,10 @@ class PassManager:
                     context.registry,
                     pass_name=pass_.name,
                     stages=state.stages if pass_.name == "parallelize" else (),
+                    facts=facts,
                 )
                 verify_ms = (time.perf_counter() - verify_start) * 1000.0
+                facts = verdict.facts
                 validated = verdict.ok
                 counterexample = verdict.counterexample
                 counterexample_span = verdict.span
@@ -393,12 +398,13 @@ class PassManager:
                     )
                 elif verdict.notes:
                     notes = notes + verdict.notes
+            size_after = chain_ir_size(state.elements)
             reports.append(
                 PassReport(
                     name=pass_.name,
                     level=pass_.level,
                     ir_size_before=size_before,
-                    ir_size_after=chain_ir_size(state.elements),
+                    ir_size_after=size_after,
                     rewrites=outcome.rewrites,
                     wall_ms=wall_ms,
                     legality_ok=outcome.legality_ok,
@@ -410,6 +416,7 @@ class PassManager:
                     counterexample_span=counterexample_span,
                 )
             )
+            size_before = size_after
         if not state.stages:
             state.stages = tuple((name,) for name in state.order)
         return state, reports

@@ -134,13 +134,12 @@ class TestDeltaReplayProperties:
 
     @given(
         initial=st.lists(st.tuples(keys, values), max_size=30),
-        mutations=st.lists(
-            operations.filter(lambda op: op[0] != "update"), max_size=40
-        ),
+        mutations=st.lists(operations, max_size=40),
     )
     @settings(max_examples=60)
     def test_bag_replay_of_inserts_and_deletes(self, initial, mutations):
-        # a bag replays a delete by removing one equal row
+        # a bag replays a delete by removing one equal row, and an update
+        # by replacing one
         source = StateTable(decl(keyed=False))
         for key, value in initial:
             source.insert({"k": key, "v": value})

@@ -264,3 +264,129 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "replayed" in out
         assert "identical" in out
+
+
+class TestFactReuse:
+    """One ``compile --verify`` type-checks, replays and sizes each
+    pipeline state once: a verdict takes the previous verdict's
+    after-side facts as its before side, and replays that side again
+    only when it mines other exemplar messages."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, counts):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    @pytest.mark.parametrize("example, check_chains, replays, analyses", [
+        ("explain_demo", 4, 4, 4),
+        ("lint_demo", 3, 3, 3),
+        # dead_fields changes the chain's literals, so fuse_elements
+        # replays its before side on other messages
+        ("typecheck_demo", 3, 4, 3),
+    ])
+    def test_each_state_checked_once(
+        self, example, check_chains, replays, analyses, monkeypatch, capsys
+    ):
+        import collections
+        import os
+
+        import repro.analysis.validate as validate_module
+        import repro.ir.passmgr as passmgr_module
+
+        counts = collections.Counter()
+        for module, name in (
+            (validate_module, "check_chain"),
+            (validate_module, "_run_trace"),
+            (passmgr_module, "chain_ir_size"),
+            (passmgr_module, "analyze_element"),
+        ):
+            self.count_calls(monkeypatch, module, name, counts)
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "examples", f"{example}.adn"
+        )
+        assert main(["compile", "--verify", path]) == 0
+        assert "FAILED" not in capsys.readouterr().out
+        # one chain per example: its six passes see seven states
+        assert counts == {
+            "check_chain": check_chains,
+            "_run_trace": replays,
+            "chain_ir_size": 7,
+            "analyze_element": analyses,
+        }
+
+    def test_mutant_after_reused_facts_still_fails(
+        self, paper_chain, registry, monkeypatch
+    ):
+        import collections
+
+        import repro.analysis.validate as validate_module
+
+        real_validate = validate_module.validate_rewrite
+        counts = collections.Counter()
+        calls = []
+
+        def recording(before, after, *args, **kwargs):
+            counts.clear()
+            verdict = real_validate(before, after, *args, **kwargs)
+            calls.append((list(before), list(after), kwargs, dict(counts)))
+            return verdict
+
+        monkeypatch.setattr(validate_module, "validate_rewrite", recording)
+        for name in ("check_chain", "_run_trace"):
+            self.count_calls(monkeypatch, validate_module, name, counts)
+        manager = PassManager(passes=default_pipeline() + [MutantPass()])
+        # without fusion, which reorders the chain's literals, the
+        # mutant mines the same messages as the reorder verdict before it
+        chain = optimize_chain(
+            paper_chain,
+            ChainContext(registry=registry, schema=SCHEMA),
+            OptimizerOptions(verify=True),
+            manager=manager,
+        )
+        report = chain.pass_reports[-1]
+        assert report.name == "mutant" and report.validated is False
+        before, after, kwargs, spent = calls[-1]
+        # the before side came from the reorder verdict's facts: only
+        # the mutated chain was type-checked and replayed
+        assert kwargs["facts"] is not None
+        assert spent == {"check_chain": 1, "_run_trace": 1}
+        fresh = real_validate(
+            before, after, SCHEMA, registry, pass_name="mutant"
+        )
+        assert fresh.ok is False
+        assert (report.counterexample, report.counterexample_span) == (
+            fresh.counterexample, fresh.span
+        )
+
+    def test_replay_that_draws_in_init_is_not_kept(
+        self, paper_chain, registry
+    ):
+        from repro.dsl import parse
+        from repro.dsl.validator import validate_program
+
+        # init runs before the replay pins rand(), so each replay of this
+        # element draws from the registry's generator and moves it on
+        program = validate_program(parse("""
+            element Seeded {
+                var seed: float = 0.0;
+                init { SET seed = rand(); }
+                on request { SELECT input.*, seed AS s FROM input; }
+            }
+        """), schema=SCHEMA)
+        seeded = build_element_ir(program.elements["Seeded"])
+        analyze_element(seeded, registry)
+        for chain, kept in (
+            (paper_chain, True),
+            ([seeded] + paper_chain[1:], False),
+        ):
+            mutated = [
+                corrupt_first_projection(chain[0], registry)
+            ] + chain[1:]
+            verdict = validate_rewrite(chain, mutated, SCHEMA, registry)
+            assert verdict.facts.types is not None
+            assert (verdict.facts.trace is not None) is kept
