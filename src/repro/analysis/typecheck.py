@@ -42,6 +42,7 @@ from ..dsl.ast_nodes import (
 from ..dsl.functions import DEFAULT_REGISTRY, FunctionRegistry
 from ..dsl.schema import (
     META_FIELDS,
+    NUMERIC,
     FieldType,
     RpcSchema,
     WRITABLE_META_FIELDS,
@@ -64,7 +65,6 @@ from ..ir.nodes import (
     UpdateRows,
 )
 from .domains import (
-    NUMERIC,
     TOP,
     AbstractValue,
     arith_result,

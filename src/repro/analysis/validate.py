@@ -18,9 +18,10 @@ pre-pass chain three ways:
    schema+meta fields), fault outcomes, and canonicalized state
    snapshots must match exactly.
 
-Nondeterminism is pinned per message: before each message, ``rand()`` is
-re-seeded and ``now()`` bound to a constant, identically for both runs,
-so a legal rewrite cannot diverge through the RNG or the clock.
+Nondeterminism is pinned: before the init blocks run and before each
+message, ``rand()`` is re-seeded and ``now()`` bound to a constant,
+identically for both runs, so a legal rewrite cannot diverge through
+the RNG or the clock.
 
 In a pipeline, pass k+1's before chain is pass k's after chain. A
 verdict therefore carries what it computed about its after chain as
@@ -279,20 +280,11 @@ def _mine_literals(
         for stmt in statements:
             for expr in statement_exprs(stmt):
                 for node in walk(expr):
-                    if not isinstance(node, Literal) or node.value is None:
+                    if not isinstance(node, Literal):
                         continue
                     value = node.value
-                    if isinstance(value, bool):
-                        field_type = FieldType.BOOL
-                    elif isinstance(value, int):
-                        field_type = FieldType.INT
-                    elif isinstance(value, float):
-                        field_type = FieldType.FLOAT
-                    elif isinstance(value, str):
-                        field_type = FieldType.STR
-                    elif isinstance(value, bytes):
-                        field_type = FieldType.BYTES
-                    else:
+                    field_type = FieldType.of_value(value)
+                    if field_type is None:
                         continue
                     pool = pools.setdefault(field_type, [])
                     if value not in pool and len(pool) < _LITERAL_POOL_CAP:
@@ -316,6 +308,8 @@ def _run_trace(
     saved_rng, saved_clock = registry.rng, registry._clock
     trace: List[object] = []
     try:
+        # building the executor runs every init block
+        _pin_nondeterminism(registry, -1)
         executor = ChainExecutor(list(elements), registry)
         for index, message in enumerate(messages):
             _pin_nondeterminism(registry, index)
@@ -342,29 +336,25 @@ def _replays_alike(
     elements: Sequence[ElementIR], registry: FunctionRegistry
 ) -> bool:
     """Whether replaying ``elements`` again on the same messages gives
-    the same trace. Handlers may call ``now()`` and ``rand()``, which the
-    replay pins per message, but no other nondeterministic function. An
-    init block runs when the replay builds its executor, before any
-    pinning, so it may call none: there ``rand()`` draws from the
-    registry's own generator and moves it on."""
+    the same trace. Init blocks and handlers may call ``now()`` and
+    ``rand()``, which the replay pins before it builds the executor and
+    before each message, but no other nondeterministic function."""
     for element in elements:
-        blocks = [(element.init, frozenset())] + [
-            (handler.statements, _PINNED_CALLS)
-            for handler in element.handlers.values()
-        ]
-        for statements, pinned in blocks:
-            for stmt in statements:
-                for expr in statement_exprs(stmt):
-                    for node in walk(expr):
-                        if (
-                            isinstance(node, FuncCall)
-                            and node.name not in pinned
-                            and not (
-                                node.name in registry
-                                and registry.get(node.name).deterministic
-                            )
-                        ):
-                            return False
+        statements = list(element.init)
+        for handler in element.handlers.values():
+            statements.extend(handler.statements)
+        for stmt in statements:
+            for expr in statement_exprs(stmt):
+                for node in walk(expr):
+                    if (
+                        isinstance(node, FuncCall)
+                        and node.name not in _PINNED_CALLS
+                        and not (
+                            node.name in registry
+                            and registry.get(node.name).deterministic
+                        )
+                    ):
+                        return False
     return True
 
 

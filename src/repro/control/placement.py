@@ -96,6 +96,40 @@ class PlacementRequest:
 _STRATEGIES = ("software", "inapp", "offload", "scaleout")
 
 
+def switch_window_ok(
+    chain: CompiledChain, schema: RpcSchema, name: str
+) -> bool:
+    """The P4 parse-window constraint: the element may only read fields
+    inside the window of its hop's minimal header."""
+    index = chain.element_order.index(name)
+    try:
+        plans = plan_hop_headers(chain.ir, schema, [index - 1])
+    except HeaderLayoutError:
+        return False
+    analysis = chain.elements[name].analysis
+    handler = analysis.handlers.get("request") if analysis else None
+    reads = sorted(handler.fields_read) if handler else []
+    try:
+        check_switch_window(plans[0].layout, reads)
+    except HeaderLayoutError:
+        return False
+    return True
+
+
+def local_stages(
+    chain: CompiledChain, elements: Sequence[str]
+) -> Tuple[Tuple[str, ...], ...]:
+    """Restrict the chain's parallel stages to one segment's elements,
+    preserving stage grouping."""
+    member_set = set(elements)
+    local: List[Tuple[str, ...]] = []
+    for stage in chain.ir.stages:
+        members = tuple(name for name in stage if name in member_set)
+        if members:
+            local.append(members)
+    return tuple(local)
+
+
 class PlacementSolver:
     """Solves one placement request into a :class:`PlacementPlan`."""
 
@@ -213,8 +247,8 @@ class PlacementSolver:
             candidates: List[Tuple[int, int, str, Platform]] = []
             for platform in self._legal_platforms(name):
                 for side in self._sides_of(platform, side_constraint):
-                    if platform is Platform.SWITCH_P4 and not self._switch_ok(
-                        name
+                    if platform is Platform.SWITCH_P4 and not switch_window_ok(
+                        self.chain, self.request.schema, name
                     ):
                         continue
                     candidates.append(
@@ -301,7 +335,9 @@ class PlacementSolver:
             if (
                 "p4" in legal
                 and self.request.cluster.programmable_switch
-                and self._switch_ok(name)
+                and switch_window_ok(
+                    self.chain, self.request.schema, name
+                )
             ):
                 return 5
             if ("ebpf" in legal or "nic" in legal) and (
@@ -324,21 +360,6 @@ class PlacementSolver:
         if constraint == "any":
             return ["client", "server"]
         return [constraint]
-
-    def _switch_ok(self, name: str) -> bool:
-        """Check the P4 parse-window constraint for this element at its
-        hop using the chain's minimal headers."""
-        index = self.chain.element_order.index(name)
-        plans = plan_hop_headers(self.chain.ir, self.request.schema, [index - 1])
-        layout = plans[0].layout
-        analysis = self.chain.elements[name].analysis
-        handler = analysis.handlers.get("request")
-        reads = sorted(handler.fields_read) if handler else []
-        try:
-            check_switch_window(layout, reads)
-        except HeaderLayoutError:
-            return False
-        return True
 
     def _build_plan(
         self, choices: Sequence[Tuple[str, str, Platform]]
@@ -364,7 +385,7 @@ class PlacementSolver:
                     platform=platform,
                     machine=machine,
                     elements=last.elements + (name,),
-                    stages=self._local_stages(last.elements + (name,)),
+                    stages=local_stages(self.chain, last.elements + (name,)),
                     replicas=replicas,
                 )
             else:
@@ -389,19 +410,6 @@ class PlacementSolver:
             server_transport=server_transport,
             description=f"strategy={self.request.strategy}",
         )
-
-    def _local_stages(
-        self, elements: Tuple[str, ...]
-    ) -> Tuple[Tuple[str, ...], ...]:
-        """Restrict the chain's parallel stages to one segment's
-        elements, preserving stage grouping."""
-        local: List[Tuple[str, ...]] = []
-        member_set = set(elements)
-        for stage in self.chain.ir.stages:
-            members = tuple(name for name in stage if name in member_set)
-            if members:
-                local.append(members)
-        return tuple(local)
 
     def _transport_mode(
         self, machine: str, segments: Sequence[PlacementSegment]

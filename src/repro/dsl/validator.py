@@ -49,7 +49,14 @@ from .ast_nodes import (
     VarRef,
 )
 from .functions import DEFAULT_REGISTRY, FunctionRegistry
-from .schema import META_FIELDS, WRITABLE_META_FIELDS, FieldType, RpcSchema
+from .schema import (
+    META_FIELDS,
+    NUMERIC,
+    WRITABLE_META_FIELDS,
+    FieldType,
+    RpcSchema,
+    statically_comparable,
+)
 
 #: Meta keys the validator understands; unknown keys are rejected to catch
 #: typos like ``postion``.
@@ -97,7 +104,6 @@ def _verr(message: str, node: object = None) -> DslValidationError:
     return DslValidationError(message)
 
 
-_NUMERIC = (FieldType.INT, FieldType.FLOAT)
 #: filter operator -> the meta keys its runtime reads as numbers
 #: (``int()``/``float()`` in :func:`repro.runtime.filters.apply_filter`)
 _OPERATOR_NUMERIC_META = {
@@ -589,7 +595,7 @@ class ElementValidator:
 
     def _infer_type(self, expr: Expr, scope: Scope) -> Optional[FieldType]:
         if isinstance(expr, Literal):
-            return _literal_type(expr.value)
+            return FieldType.of_value(expr.value)
         if isinstance(expr, VarRef):
             return scope.vars.get(expr.name)
         if isinstance(expr, ColumnRef):
@@ -628,7 +634,7 @@ class ElementValidator:
             if (
                 left is not None
                 and right is not None
-                and not _comparable(left, right)
+                and not statically_comparable(left, right)
             ):
                 raise _verr(
                     f"cannot compare {left.value} with {right.value}", expr
@@ -640,7 +646,7 @@ class ElementValidator:
                 "use concat() for string concatenation, not '+'", expr
             )
         for side in (left, right):
-            if side is not None and side not in _NUMERIC:
+            if side is not None and side not in NUMERIC:
                 raise _verr(
                     f"arithmetic on non-numeric type {side.value}", expr
                 )
@@ -651,26 +657,6 @@ class ElementValidator:
                 return FieldType.FLOAT
             return FieldType.INT
         return None
-
-
-def _literal_type(value: object) -> Optional[FieldType]:
-    if isinstance(value, bool):
-        return FieldType.BOOL
-    if isinstance(value, int):
-        return FieldType.INT
-    if isinstance(value, float):
-        return FieldType.FLOAT
-    if isinstance(value, str):
-        return FieldType.STR
-    if isinstance(value, bytes):
-        return FieldType.BYTES
-    return None  # NULL
-
-
-def _comparable(a: FieldType, b: FieldType) -> bool:
-    if a is b:
-        return True
-    return a in _NUMERIC and b in _NUMERIC
 
 
 def _compatible(expected: FieldType, actual: FieldType) -> bool:

@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 from .dependency import CommuteVerdict, can_parallelize, commute, ordering_violations
-from .optimizer import ChainContext, OptimizerOptions, optimize_chain, optimize_element
+from .optimizer import ChainContext, OptimizerOptions, optimize_chain
 
 __all__ += [
     "ChainContext",
@@ -28,6 +28,5 @@ __all__ += [
     "can_parallelize",
     "commute",
     "optimize_chain",
-    "optimize_element",
     "ordering_violations",
 ]

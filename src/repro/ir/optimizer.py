@@ -1,10 +1,9 @@
-"""Optimizer entry points, built on the pass manager.
+"""Optimizer entry point, built on the pass manager.
 
-``optimize_element`` runs the semantics-preserving statement rewrites
-(constant folding, predicate pushdown) and re-analyzes.
-``optimize_chain`` runs the full chain pipeline — element passes, early-
-drop reordering, dead-field elimination, cross-element fusion, parallel
-staging — composed and reported by :class:`repro.ir.passmgr.PassManager`.
+``optimize_chain`` runs the full chain pipeline — element passes
+(constant folding, predicate pushdown), early-drop reordering,
+dead-field elimination, cross-element fusion, parallel staging —
+composed and reported by :class:`repro.ir.passmgr.PassManager`.
 Every chain-level transform is guarded by :mod:`repro.ir.dependency`;
 the resulting :class:`~repro.ir.nodes.ChainIR` carries the per-pass
 :class:`~repro.ir.passmgr.PassReport` list so callers (the CLI's
@@ -17,9 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from ..dsl.functions import DEFAULT_REGISTRY, FunctionRegistry
-from .analysis import analyze_element
 from .nodes import ChainIR, ElementIR
-from .passes import fold_constants_element, pushdown_element
 from .passmgr import PassManager
 
 
@@ -54,22 +51,6 @@ class ChainContext:
     #: the app's RpcSchema; required for dead-field elimination (its
     #: fields are always live), None skips that pass
     schema: Optional[object] = None
-
-
-def optimize_element(
-    element: ElementIR,
-    options: Optional[OptimizerOptions] = None,
-    registry: Optional[FunctionRegistry] = None,
-) -> ElementIR:
-    """Apply element-level passes; returns a new, re-analyzed ElementIR."""
-    options = options or OptimizerOptions()
-    registry = registry or DEFAULT_REGISTRY
-    if options.constant_folding:
-        element = fold_constants_element(element, registry)
-    if options.predicate_pushdown:
-        element = pushdown_element(element)
-    analyze_element(element, registry)
-    return element
 
 
 def optimize_chain(

@@ -1,15 +1,18 @@
 """Constant folding over DSL expressions embedded in the IR.
 
-Folds literal-only arithmetic/comparisons/logic and prunes decided CASE
-branches and trivially-true/false predicates. Function calls are folded
-only when the function is deterministic and pure and all arguments are
-literals.
+An operator or a pure, deterministic function call whose operands are
+all literals becomes the literal the runtime's own evaluator computes
+for it; one the runtime would fault on stays as written. ``and``/``or``
+with a non-literal operand fold only where the runtime's left-to-right
+short-circuit decides them from a literal left operand. Decided CASE
+branches are pruned, and a filter whose predicate folds to true is
+dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from ...dsl.ast_nodes import (
     BinaryOp,
@@ -20,7 +23,7 @@ from ...dsl.ast_nodes import (
     UnaryOp,
 )
 from ...dsl.functions import DEFAULT_REGISTRY, FunctionRegistry
-from ..expr_utils import TABLE_ARG_FUNCS
+from ..expr_utils import TABLE_ARG_FUNCS, EvalEnv, evaluate, truthy
 from ..nodes import (
     AssignVar,
     DeleteRows,
@@ -41,54 +44,34 @@ def fold_expr(expr: Expr, registry: Optional[FunctionRegistry] = None) -> Expr:
     if isinstance(expr, BinaryOp):
         left = fold_expr(expr.left, registry)
         right = fold_expr(expr.right, registry)
-        if isinstance(left, Literal) and isinstance(right, Literal):
-            folded = _fold_binary(expr.op, left.value, right.value)
-            if folded is not _NO_FOLD:
-                return Literal(folded)
-        # boolean identities: (x AND true) = x, (x OR false) = x, ...
-        if expr.op == "and":
-            if isinstance(left, Literal):
-                return right if left.value is True else Literal(False)
-            if isinstance(right, Literal):
-                return left if right.value is True else Literal(False)
-        if expr.op == "or":
-            if isinstance(left, Literal):
-                return Literal(True) if left.value is True else right
-            if isinstance(right, Literal):
-                return Literal(True) if right.value is True else left
-        return BinaryOp(expr.op, left, right)
+        if (
+            expr.op in ("and", "or")
+            and isinstance(left, Literal)
+            and truthy(left.value) is (expr.op == "or")
+        ):
+            return Literal(expr.op == "or")  # the right side never runs
+        folded = BinaryOp(expr.op, left, right)
+        return _evaluated(folded, (left, right), registry)
     if isinstance(expr, UnaryOp):
         operand = fold_expr(expr.operand, registry)
-        if isinstance(operand, Literal):
-            if expr.op == "not":
-                return Literal(not operand.value)
-            if expr.op == "-" and isinstance(operand.value, (int, float)):
-                return Literal(-operand.value)
-        return UnaryOp(expr.op, operand)
+        return _evaluated(UnaryOp(expr.op, operand), (operand,), registry)
     if isinstance(expr, FuncCall):
         if expr.name in TABLE_ARG_FUNCS:
             rest = tuple(fold_expr(a, registry) for a in expr.args[1:])
             return FuncCall(expr.name, (expr.args[0],) + rest)
         args = tuple(fold_expr(a, registry) for a in expr.args)
+        call = FuncCall(expr.name, args)
         spec = registry.get(expr.name)
-        if (
-            spec.deterministic
-            and spec.pure
-            and spec.impl is not None
-            and all(isinstance(a, Literal) for a in args)
-        ):
-            try:
-                return Literal(spec.impl(*[a.value for a in args]))  # type: ignore[union-attr]
-            except Exception:
-                pass  # fold failure is not an error; leave the call
-        return FuncCall(expr.name, args)
+        if spec.deterministic and spec.pure:
+            return _evaluated(call, args, registry)
+        return call
     if isinstance(expr, CaseExpr):
         whens = []
         for condition, value in expr.whens:
             condition = fold_expr(condition, registry)
             value = fold_expr(value, registry)
             if isinstance(condition, Literal):
-                if condition.value:
+                if truthy(condition.value):
                     if not whens:
                         return value  # first branch statically taken
                     whens.append((Literal(True), value))
@@ -104,34 +87,19 @@ def fold_expr(expr: Expr, registry: Optional[FunctionRegistry] = None) -> Expr:
     return expr
 
 
-_NO_FOLD = object()
-
-
-def _fold_binary(op: str, left: object, right: object) -> object:
+def _evaluated(
+    node: Expr, operands: Sequence[Expr], registry: FunctionRegistry
+) -> Expr:
+    """``node`` as the literal the runtime computes for it when every
+    operand is a literal; ``node`` itself when one is not, or when the
+    runtime raises (a fault, or a payload UDF's own error)."""
+    if not all(isinstance(operand, Literal) for operand in operands):
+        return node
+    env = EvalEnv(row={}, vars={}, registry=registry)
     try:
-        if op == "and":
-            return bool(left) and bool(right)
-        if op == "or":
-            return bool(left) or bool(right)
-        if left is None or right is None:
-            if op in ("==", "!=", "<", "<=", ">", ">="):
-                return False
-            return _NO_FOLD
-        return {
-            "+": lambda: left + right,
-            "-": lambda: left - right,
-            "*": lambda: left * right,
-            "/": lambda: left / right,
-            "%": lambda: left % right,
-            "==": lambda: left == right,
-            "!=": lambda: left != right,
-            "<": lambda: left < right,
-            "<=": lambda: left <= right,
-            ">": lambda: left > right,
-            ">=": lambda: left >= right,
-        }[op]()
-    except (TypeError, ZeroDivisionError, KeyError):
-        return _NO_FOLD
+        return Literal(evaluate(node, env))
+    except Exception:
+        return node
 
 
 def _fold_op(op: Op, registry: FunctionRegistry) -> Op:
@@ -171,7 +139,7 @@ def _fold_statement(stmt: StatementIR, registry: FunctionRegistry) -> StatementI
     for op in stmt.ops:
         folded = _fold_op(op, registry)
         if isinstance(folded, FilterRows) and isinstance(folded.predicate, Literal):
-            if folded.predicate.value:
+            if truthy(folded.predicate.value):
                 continue  # WHERE true: drop the filter entirely
         ops.append(folded)
     return StatementIR(ops=tuple(ops), span=stmt.span)

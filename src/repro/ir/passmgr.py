@@ -422,106 +422,6 @@ class PassManager:
         return state, reports
 
 
-# -- graph-level passes --------------------------------------------------
-
-
-class GraphDeadFieldPass(Pass):
-    """Mesh-wide dead-field elimination, registered at level ``graph``.
-
-    A graph-level pass transforms *every edge's chain at once* under
-    whole-mesh facts (here: interprocedural field liveness), so it does
-    not fit :class:`PassManager`'s single-chain ``run``;
-    :class:`GraphPassManager` drives it instead. The heavy lifting lives
-    in :func:`repro.analysis.graph.eliminate_dead_fields_graph` and is
-    imported lazily — same layering trick as the validator import in
-    :meth:`PassManager.run` (the IR layer must not import the analysis
-    layer at module load)."""
-
-    name = "graph_dead_fields"
-    level = "graph"
-
-    def enabled(self, options) -> bool:
-        return bool(getattr(options, "dead_fields", True))
-
-    def run_graph(self, graph, program, schema, registry, verify=True):
-        from ..analysis.graph import eliminate_dead_fields_graph
-
-        return eliminate_dead_fields_graph(
-            graph, program, schema, registry=registry, verify=verify
-        )
-
-
-def graph_pipeline() -> List[Pass]:
-    """Graph-level passes, in order (currently one)."""
-    return [GraphDeadFieldPass()]
-
-
-@dataclass
-class GraphPassManager:
-    """Runs graph-level passes over a whole :class:`ServiceGraph`,
-    reporting in the same :class:`PassReport` shape (and table) as the
-    per-chain manager — ``ir before``/``ir after`` become total request
-    wire-header bytes across edges, ``rewrites`` the number of edges
-    whose header shrank."""
-
-    passes: List[Pass] = field(default_factory=graph_pipeline)
-
-    def run(
-        self, graph, program, schema, registry=None, options=None, verify=True
-    ) -> Tuple[object, List[PassReport]]:
-        plan = None
-        reports: List[PassReport] = []
-        for pass_ in self.passes:
-            if options is not None and not pass_.enabled(options):
-                reports.append(
-                    PassReport(
-                        name=pass_.name,
-                        level=pass_.level,
-                        ir_size_before=0,
-                        ir_size_after=0,
-                        rewrites=0,
-                        wall_ms=0.0,
-                        skipped=True,
-                        notes=("disabled by options",),
-                    )
-                )
-                continue
-            start = time.perf_counter()
-            plan = pass_.run_graph(
-                graph, program, schema, registry, verify=verify
-            )
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            changes = plan.changes.values()
-            verdicts = [c.verdict for c in changes if c.verdict is not None]
-            failed = [v for v in verdicts if v.ok is False]
-            notes = tuple(
-                f"{change.edge.name}: "
-                f"-{change.bytes_before - change.bytes_after} B "
-                f"(dropped {', '.join(change.removed_wire)})"
-                for change in changes
-                if change.shrunk
-            )
-            reports.append(
-                PassReport(
-                    name=pass_.name,
-                    level=pass_.level,
-                    ir_size_before=sum(c.bytes_before for c in changes),
-                    ir_size_after=sum(c.bytes_after for c in changes),
-                    rewrites=len(plan.shrunk_edges()),
-                    wall_ms=wall_ms,
-                    legality_ok=not failed,
-                    notes=notes,
-                    validated=(
-                        all(v.ok for v in verdicts) if verdicts else None
-                    ),
-                    counterexample=(
-                        failed[0].counterexample if failed else ""
-                    ),
-                )
-            )
-        return plan, reports
-
-
 def format_report_table(reports: Sequence[PassReport]) -> str:
     """Render pass reports as the aligned table ``--explain`` prints.
 

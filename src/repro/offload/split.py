@@ -30,13 +30,12 @@ The split is conservative by construction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.validate import ValidationVerdict, validate_rewrite
 from ..compiler.compiler import CompiledChain
-from ..compiler.headers import check_switch_window, plan_hop_headers
+from ..control.placement import local_stages, switch_window_ok
 from ..dsl.schema import RpcSchema
-from ..errors import HeaderLayoutError
 from ..lint.diagnostics import Diagnostic, Severity
 from ..platforms import Platform
 from ..runtime.processor import SWITCH_LOCATION, PlacementPlan, PlacementSegment
@@ -85,28 +84,6 @@ class SplitDecision:
             "validated": None if self.verdict is None else self.verdict.ok,
             "diagnostics": [diag.to_dict() for diag in self.diagnostics],
         }
-
-
-def _switch_window_ok(
-    chain: CompiledChain, schema: RpcSchema, name: str
-) -> bool:
-    """P4 parse-window constraint (same rule the placement solver
-    applies): the element may only read fields inside the hop's minimal
-    header window."""
-    index = chain.element_order.index(name)
-    try:
-        plans = plan_hop_headers(chain.ir, schema, [index - 1])
-    except HeaderLayoutError:
-        return False
-    layout = plans[0].layout
-    analysis = chain.elements[name].analysis
-    handler = analysis.handlers.get("request") if analysis else None
-    reads = sorted(handler.fields_read) if handler else []
-    try:
-        check_switch_window(layout, reads)
-    except HeaderLayoutError:
-        return False
-    return True
 
 
 def _capacity_diagnostic(
@@ -179,7 +156,7 @@ def split_chain(
                 )
             decision.boundary_reason = f"{name}: {why}"
             break
-        if tier == "switch" and not _switch_window_ok(chain, schema, name):
+        if tier == "switch" and not switch_window_ok(chain, schema, name):
             decision.boundary_reason = (
                 f"{name} reads fields outside the hop's P4 parse window"
             )
@@ -224,20 +201,6 @@ def split_chain(
     return decision
 
 
-def _local_stages(
-    chain: CompiledChain, elements: Sequence[str]
-) -> Tuple[Tuple[str, ...], ...]:
-    """Restrict the chain's parallel stages to one segment's elements,
-    preserving stage grouping (same rule as the placement solver)."""
-    member_set = set(elements)
-    local: List[Tuple[str, ...]] = []
-    for stage in chain.ir.stages:
-        members = tuple(name for name in stage if name in member_set)
-        if members:
-            local.append(members)
-    return tuple(local)
-
-
 def solve_offload_plan(
     chain: CompiledChain,
     schema: RpcSchema,
@@ -264,7 +227,7 @@ def solve_offload_plan(
                 platform=decision.platform,
                 machine=machine,
                 elements=decision.prefix,
-                stages=_local_stages(chain, decision.prefix),
+                stages=local_stages(chain, decision.prefix),
                 queue_limit=queue_limit,
             )
         )
@@ -274,7 +237,7 @@ def solve_offload_plan(
                 platform=Platform.MRPC,
                 machine=server_machine,
                 elements=decision.suffix,
-                stages=_local_stages(chain, decision.suffix),
+                stages=local_stages(chain, decision.suffix),
                 queue_limit=queue_limit,
             )
         )

@@ -35,7 +35,6 @@ from repro.graph import (
     mesh_program,
 )
 from repro.graph.lint import check_chain_resolution, load_graph_spec
-from repro.ir.passmgr import GraphPassManager
 from repro.lint import Severity
 from repro.runtime.filters import DEFAULT_MAX_RETRIES
 
@@ -430,6 +429,9 @@ class TestGraphDeadFields:
         }
         assert details.bytes_after < details.bytes_before
         assert plan.bytes_saved() > 0
+        assert plan.edge_app_reads()[("productpage", "details")] == (
+            frozenset({"payload"})
+        )
 
     def test_every_rewritten_edge_is_validated(self):
         plan = eliminate_dead_fields_graph(
@@ -445,18 +447,6 @@ class TestGraphDeadFields:
             hotel_mesh_graph(), mesh_program(), MESH_SCHEMA
         )
         assert plan.shrunk_edges() == []
-
-    def test_pass_manager_reports_the_shrink(self):
-        plan, reports = GraphPassManager().run(
-            bookinfo_graph(), mesh_program(), MESH_SCHEMA
-        )
-        report = next(r for r in reports if r.name == "graph_dead_fields")
-        assert report.rewrites == 2
-        assert report.ir_size_after < report.ir_size_before
-        assert report.legality_ok
-        assert plan.edge_app_reads()[("productpage", "details")] == (
-            frozenset({"payload"})
-        )
 
 
 class TestRetryStormExample:

@@ -1,10 +1,12 @@
-"""Every entry point into the fault and control packages imports cleanly
-when a fresh interpreter loads it first.
+"""Every entry point into the fault, control, offload and graph packages
+imports cleanly when a fresh interpreter loads it first.
 
 ``repro.control`` and ``repro.faults`` import each other through their
-``__init__`` re-exports, so whether an import cycle closes depends on
-which module a process loads first. Each case runs in its own
-interpreter, because one import would otherwise settle every later one.
+``__init__`` re-exports, and ``repro.offload.split`` imports the
+placement solver's rules from ``repro.control``, so whether an import
+cycle closes depends on which module a process loads first. Each case
+runs in its own interpreter, because one import would otherwise settle
+every later one.
 """
 
 import pathlib
@@ -18,6 +20,9 @@ FIRST_IMPORTS = [
     "repro.faults.scenario",
     "repro.control",
     "repro.control.resilience",
+    "repro.offload",
+    "repro.offload.split",
+    "repro.graph",
     "repro.cli",
 ]
 

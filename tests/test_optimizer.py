@@ -5,12 +5,7 @@ import pytest
 from repro.dsl import FieldType, RpcSchema, load_stdlib
 from repro.ir.builder import build_element_ir
 from repro.ir.dependency import ordering_violations
-from repro.ir.optimizer import (
-    ChainContext,
-    OptimizerOptions,
-    optimize_chain,
-    optimize_element,
-)
+from repro.ir.optimizer import ChainContext, OptimizerOptions, optimize_chain
 
 
 @pytest.fixture(scope="module")
@@ -27,19 +22,6 @@ def program(schema):
 
 def irs(program, *names):
     return [build_element_ir(program.elements[name]) for name in names]
-
-
-class TestOptimizeElement:
-    def test_attaches_analysis(self, program):
-        ir = optimize_element(irs(program, "Acl")[0])
-        assert ir.analysis is not None
-
-    def test_options_disable_passes(self, program):
-        options = OptimizerOptions(
-            constant_folding=False, predicate_pushdown=False
-        )
-        ir = optimize_element(irs(program, "Acl")[0], options)
-        assert ir.analysis is not None
 
 
 class TestOptimizeChain:

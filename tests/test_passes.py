@@ -34,9 +34,26 @@ class TestConstantFolding:
         assert fold_expr(expr("2 > 1")) == Literal(True)
 
     def test_boolean_identities(self):
-        assert fold_expr(expr("x == 1 and true")) == fold_expr(expr("x == 1"))
-        assert fold_expr(expr("x == 1 or true")) == Literal(True)
-        assert fold_expr(expr("x == 1 and false")) == Literal(False)
+        # only the runtime's short-circuit: it decides these from the
+        # left operand alone
+        assert fold_expr(expr("false and x")) == Literal(False)
+        assert fold_expr(expr("true or x")) == Literal(True)
+        # these it does not: x still runs, and may fault, and `x and
+        # true` is truthy(x), not x
+        for text in ("x == 1 and true", "x == 1 or true",
+                     "x == 1 and false", "true and x"):
+            assert fold_expr(expr(text)) == expr(text)
+
+    def test_operands_are_judged_by_truth_not_identity(self):
+        assert fold_expr(expr("0 or x")) == expr("0 or x")
+        assert fold_expr(expr("1 and x")) == expr("1 and x")
+        assert fold_expr(expr("0 and x")) == Literal(False)
+
+    def test_what_the_runtime_faults_on_stays(self):
+        for text in ("'alice' == 7", "-'a'", "NULL + 1"):
+            assert fold_expr(expr(text)) == expr(text)
+        # the call folds; the comparison it feeds faults, so it stays
+        assert fold_expr(expr("coalesce(NULL, 'a') == 1")) == expr("'a' == 1")
 
     def test_pure_function_folded(self):
         folded = fold_expr(expr("max(2, 3)"))
