@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from inspect import cleandoc
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Collection, Dict, Iterable, List, Optional
 
 from .diagnostics import Diagnostic, Severity
 
@@ -52,11 +52,15 @@ def all_rules() -> List[Rule]:
     return [_RULES[code] for code in sorted(_RULES)]
 
 
-def run_rules(context) -> List[Diagnostic]:
-    """Run every registered rule over one lint context."""
+def run_rules(
+    context, codes: Optional[Collection[str]] = None
+) -> List[Diagnostic]:
+    """Run the registered rules whose code is in ``codes`` (default:
+    every rule) over one lint context."""
     diagnostics: List[Diagnostic] = []
     for registered in all_rules():
-        diagnostics.extend(registered.check(context))
+        if codes is None or registered.code in codes:
+            diagnostics.extend(registered.check(context))
     return diagnostics
 
 

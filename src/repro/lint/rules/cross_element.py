@@ -28,11 +28,11 @@ def check_chain_pairs(context) -> List[Diagnostic]:
             names = [
                 name
                 for name in chain.elements
-                if name in context.analyses  # filters/invalid skipped
+                if name in context.irs  # filters/invalid skipped
             ]
             for first, second in zip(names, names[1:]):
                 verdict = commute(
-                    context.analyses[first], context.analyses[second]
+                    context.analysis(first), context.analysis(second)
                 )
                 if verdict.commutes:
                     continue

@@ -179,7 +179,7 @@ def check_silent_handlers(context) -> List[Diagnostic]:
     a missing ``SELECT * FROM input``."""
     out: List[Diagnostic] = []
     for ir in _own_irs(context):
-        analysis = context.analyses.get(ir.name)
+        analysis = context.analysis(ir.name)
         if analysis is None:
             continue
         for kind, handler in analysis.handlers.items():

@@ -21,7 +21,7 @@ from ..registry import rule
 def _own_analyses(context):
     """Each analyzed own element, by name."""
     for name in sorted(context.own_elements):
-        analysis = context.analyses.get(name)
+        analysis = context.analysis(name)
         if analysis is not None:
             yield name, analysis
 

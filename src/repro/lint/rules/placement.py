@@ -165,7 +165,7 @@ def check_unrecoverable_state(context) -> List[Diagnostic]:
             for name in chain.elements:
                 if name in reported:
                     continue
-                analysis = context.analyses.get(name)
+                analysis = context.analysis(name)
                 ir = context.irs.get(name)
                 if analysis is None or ir is None:
                     continue

@@ -19,7 +19,7 @@ from ..registry import rule
 
 def _own_safety(context):
     for name in context.own_elements:
-        analysis = context.analyses.get(name)
+        analysis = context.analysis(name)
         if analysis is not None and analysis.replication is not None:
             yield name, analysis.replication
 
