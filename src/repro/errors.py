@@ -29,15 +29,21 @@ class DslValidationError(AdnError):
     mismatch, write to read-only table, duplicate element name, ...).
 
     Like :class:`DslSyntaxError`, carries the source position (1-based;
-    0 means unknown) so tooling can point at the offending text.
+    0 means unknown) so tooling can point at the offending text, and
+    ``path`` names the source that position is in when it is not the
+    input being read (``<stdlib:NAME>`` for a stdlib entry).
     """
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(
+        self, message: str, line: int = 0, column: int = 0, path: str = ""
+    ):
+        self.reason = message
         if line > 0:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
         self.line = line
         self.column = column
+        self.path = path
 
 
 class CompileError(AdnError):

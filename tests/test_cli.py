@@ -1,6 +1,7 @@
 """CLI tests (``python -m repro``)."""
 
 import hashlib
+import json
 import re
 
 import pytest
@@ -228,12 +229,15 @@ LOAD_PINS = [
     (("compile", "--verify", "examples/explain_demo.adn"), 0,
      "a358b6d51eabd4c4", ""),
     (("check", "--field", "x:int", "examples/explain_demo.adn"), 1, "",
-     "<file>: error: unknown input field 'payload' (line 5, column 68)\n"),
+     "<stdlib:Logging>: error: unknown input field 'payload' "
+     "(line 5, column 68)\n"),
     (("compile", "--field", "x:int", "examples/explain_demo.adn"), 1, "",
-     "error: unknown input field 'payload' (line 5, column 68)\n"),
+     "<stdlib:Logging>: error: unknown input field 'payload' "
+     "(line 5, column 68)\n"),
     (("compile", "--verify", "--field", "x:int",
       "examples/explain_demo.adn"), 1, "",
-     "error: unknown input field 'payload' (line 5, column 68)\n"),
+     "<stdlib:Logging>: error: unknown input field 'payload' "
+     "(line 5, column 68)\n"),
     *(
         (command + fields + ("{extra}",), 1, "",
          ("<file>: " if command == ("check",) else "")
@@ -246,11 +250,14 @@ LOAD_PINS = [
     (("compile", "--verify") + NARROW + ("{overrides}",), 0,
      "d688a9e4da224d5b", ""),
     (("check",) + NARROW + ("examples/lint_demo.adn",), 1, "",
-     "<file>: error: unknown input field 'obj_id' (line 49, column 49)\n"),
+     "<stdlib:LbKeyHash>: error: unknown input field 'obj_id' "
+     "(line 7, column 49)\n"),
     (("compile",) + NARROW + ("examples/lint_demo.adn",), 1, "",
-     "error: unknown input field 'obj_id' (line 49, column 49)\n"),
+     "<stdlib:LbKeyHash>: error: unknown input field 'obj_id' "
+     "(line 7, column 49)\n"),
     (("compile", "--verify") + NARROW + ("examples/lint_demo.adn",), 1, "",
-     "error: unknown input field 'obj_id' (line 49, column 49)\n"),
+     "<stdlib:LbKeyHash>: error: unknown input field 'obj_id' "
+     "(line 7, column 49)\n"),
     (("check", "--no-stdlib", "examples/explain_demo.adn"), 1, "",
      "<file>: error: app 'ExplainDemo': chain uses unknown element "
      "'Logging' (line 25, column 5)\n"),
@@ -288,6 +295,26 @@ class TestLoadOutcomes:
         out = self.canonical(out, path)
         digest = hashlib.sha256(out.encode()).hexdigest()[:16] if out else ""
         assert (digest, self.canonical(err, path)) == (stdout, stderr), out
+
+    def test_stdlib_error_is_where_lint_puts_it(self, capsys):
+        """``check --format json`` names the failing stdlib entry and
+        gives the position ``lint --stdlib`` reports for it (ADN102)."""
+        path = "examples/lint_demo.adn"
+        assert main(["check", "--format", "json", *NARROW, path]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        argv = ["lint", "--stdlib", "--format", "json", *NARROW, path]
+        assert main(argv) == 1
+        (found,) = [
+            diagnostic
+            for result in json.loads(capsys.readouterr().out)
+            if result["path"] == error["path"]
+            for diagnostic in result["diagnostics"]
+            if diagnostic["code"] == "ADN102"
+        ]
+        assert error == {
+            key: found[key] for key in ("message", "path", "line", "column")
+        }
+        assert (error["path"], error["line"]) == ("<stdlib:LbKeyHash>", 7)
 
 
 class TestPlan:
