@@ -18,13 +18,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.baselines import EnvoyMeshStack, GrpcStack
 from repro.compiler.compiler import AdnCompiler, CompiledChain
+from repro.control.placement import PlacementPlan
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import ChainDecl
 from repro.ir.analysis import analyze_element
 from repro.ir.builder import build_element_ir
 from repro.runtime import AdnMrpcStack
 from repro.runtime.message import reset_rpc_ids
-from repro.runtime.processor import PlacementPlan
 from repro.sim import ClosedLoopClient, RunMetrics, Simulator, two_machine_cluster
 
 SCHEMA = RpcSchema.of(

@@ -9,7 +9,8 @@ and the accumulated state (the logger's records) survives the swap.
 
 import pytest
 
-from repro.control import AdnController, MiniKube
+from repro.control.controller import AdnController
+from repro.control.k8s import MiniKube
 from repro.dsl import FieldType, RpcSchema
 from repro.runtime.message import reset_rpc_ids
 from repro.sim import ClosedLoopClient, Simulator, two_machine_cluster

@@ -15,7 +15,8 @@ Run:  python examples/object_store.py
 """
 
 from repro import FieldType, RpcSchema
-from repro.control import AdnController, MiniKube
+from repro.control.controller import AdnController
+from repro.control.k8s import MiniKube
 from repro.runtime.message import reset_rpc_ids
 from repro.sim import ClosedLoopClient, Simulator, two_machine_cluster
 

@@ -11,7 +11,7 @@ Run:  python examples/offload_planner.py
 """
 
 from repro import AdnCompiler, FieldType, FunctionRegistry, RpcSchema
-from repro.control import ClusterSpec, PlacementRequest, solve_placement
+from repro.control.placement import ClusterSpec, PlacementRequest, solve_placement
 from repro.dsl import load_stdlib
 from repro.dsl.ast_nodes import ChainDecl
 

@@ -1,71 +1,10 @@
-"""Control plane: mini cluster manager, the ADN controller, placement
-solver, autoscaler, and the resilience layer (leases, failover,
-epoch-fenced configuration)."""
+"""Control plane: mini cluster manager (:mod:`.k8s`), the ADN controller
+(:mod:`.controller`), the placement solver and the plans it makes
+(:mod:`.placement`), the autoscaler (:mod:`.scaling`), and the
+resilience layer: leases, failover, epoch-fenced configuration
+(:mod:`.resilience`).
 
-from .controller import (
-    AdnController,
-    InstalledChain,
-    ReconcileRecord,
-    RecoveryOrchestrator,
-    RecoveryReport,
-)
-from .resilience import (
-    ControllerNode,
-    ControllerPair,
-    FailoverReport,
-    LeaseStore,
-    RecoveryJournal,
-    ResilienceResult,
-    run_chaos_soak,
-    run_chaos_trial,
-    run_control_resilience_scenario,
-)
-from .k8s import (
-    ADDED,
-    DELETED,
-    KIND_ADN_CONFIG,
-    KIND_DEPLOYMENT,
-    KIND_NODE,
-    MODIFIED,
-    MiniKube,
-    ResourceObject,
-)
-from .placement import (
-    ClusterSpec,
-    PlacementRequest,
-    PlacementSolver,
-    solve_placement,
-)
-from .scaling import Autoscaler, AutoscalerConfig, ScalingEvent
-
-__all__ = [
-    "ADDED",
-    "AdnController",
-    "Autoscaler",
-    "AutoscalerConfig",
-    "ClusterSpec",
-    "ControllerNode",
-    "ControllerPair",
-    "DELETED",
-    "FailoverReport",
-    "InstalledChain",
-    "LeaseStore",
-    "KIND_ADN_CONFIG",
-    "KIND_DEPLOYMENT",
-    "KIND_NODE",
-    "MODIFIED",
-    "MiniKube",
-    "PlacementRequest",
-    "PlacementSolver",
-    "ReconcileRecord",
-    "RecoveryJournal",
-    "RecoveryOrchestrator",
-    "RecoveryReport",
-    "ResilienceResult",
-    "ResourceObject",
-    "ScalingEvent",
-    "run_chaos_soak",
-    "run_chaos_trial",
-    "run_control_resilience_scenario",
-    "solve_placement",
-]
+Import from the submodule. This package imports none of them, so the
+toolchain can load the placement solver without the controller, the
+fault injector and the runtime they pull in.
+"""

@@ -26,7 +26,6 @@ from ..dsl.stdlib import load_stdlib
 from ..dsl.validator import validate_program
 from ..errors import AdnError, ControlPlaneError, StaleEpochError
 from ..runtime.mrpc import AdnMrpcStack
-from ..runtime.processor import PlacementPlan
 from .k8s import (
     DELETED,
     KIND_ADN_CONFIG,
@@ -34,7 +33,12 @@ from .k8s import (
     MiniKube,
     ResourceObject,
 )
-from .placement import ClusterSpec, PlacementRequest, solve_placement
+from .placement import (
+    ClusterSpec,
+    PlacementPlan,
+    PlacementRequest,
+    solve_placement,
+)
 
 
 @dataclass

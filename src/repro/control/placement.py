@@ -25,14 +25,64 @@ Four strategies mirror Figure 2's configurations: ``software`` (config
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.compiler import CompiledChain
 from ..compiler.headers import check_switch_window, plan_hop_headers
 from ..dsl.schema import RpcSchema
 from ..errors import HeaderLayoutError, PlacementError
 from ..platforms import Platform
-from ..runtime.processor import SWITCH_LOCATION, PlacementPlan, PlacementSegment
+
+#: machine name used for on-switch segments
+SWITCH_LOCATION = "switch"
+
+
+@dataclass
+class PlacementSegment:
+    """A contiguous run of chain elements on one platform/location."""
+
+    platform: Platform
+    machine: str  # machine name, or SWITCH_LOCATION
+    elements: Tuple[str, ...]
+    #: parallel stages local to this segment (subset of the chain's)
+    stages: Tuple[Tuple[str, ...], ...] = ()
+    #: number of replicated processor instances (Figure 2 config 4)
+    replicas: int = 1
+    #: bound on the processor's wait queue (repro.overload): RPCs
+    #: arriving past it are rejected explicitly (``QueueFull``) instead
+    #: of waiting forever; None keeps the legacy unbounded queue
+    queue_limit: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if not self.stages:
+            self.stages = tuple((name,) for name in self.elements)
+
+
+@dataclass
+class PlacementPlan:
+    """The full realization of one chain across processors."""
+
+    segments: List[PlacementSegment]
+    #: "engine" (mRPC owns the wire) or "proxyless" (the RPC library
+    #: itself talks to the kernel), per side
+    client_transport: str = "engine"
+    server_transport: str = "engine"
+    description: str = ""
+    #: configuration epoch minted by the controller that solved this
+    #: plan; the data plane fences installs whose epoch is not strictly
+    #: newer than what it already runs (0 = legacy unfenced plan)
+    epoch: int = 0
+
+    def segments_on(self, machine: str) -> List[PlacementSegment]:
+        return [seg for seg in self.segments if seg.machine == machine]
+
+    def element_locations(self) -> Dict[str, Tuple[Platform, str]]:
+        return {
+            name: (segment.platform, segment.machine)
+            for segment in self.segments
+            for name in segment.elements
+        }
+
 
 #: Monotonic path positions: client side ascends toward the wire, then
 #: the switch, then the server side descends toward the application.

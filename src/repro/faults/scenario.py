@@ -32,6 +32,7 @@ import random
 from typing import Iterable, Optional
 
 from ..compiler.compiler import AdnCompiler
+from ..control.placement import PlacementPlan, PlacementSegment
 from ..dsl.ast_nodes import ChainDecl
 from ..dsl.functions import FunctionRegistry
 from ..dsl.parser import parse
@@ -42,7 +43,6 @@ from ..platforms import Platform
 from ..runtime.filters import RetryPolicy
 from ..runtime.mrpc import AdnMrpcStack
 from ..runtime.message import reset_rpc_ids
-from ..runtime.processor import PlacementPlan, PlacementSegment
 from ..runtime.telemetry import TelemetryCollector
 from ..sim.cluster import Simulator, two_machine_cluster
 from ..sim.workload import ClosedLoopClient

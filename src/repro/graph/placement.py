@@ -19,13 +19,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.compiler import AdnCompiler, CompiledChain
-from ..control.placement import ClusterSpec, PlacementRequest, solve_placement
+from ..control.placement import (
+    ClusterSpec,
+    PlacementPlan,
+    PlacementRequest,
+    solve_placement,
+)
 from ..dsl.ast_nodes import ChainDecl, Program
 from ..dsl.schema import RpcSchema
 from ..errors import GraphError
 from ..lint.diagnostics import Diagnostic
 from ..offload.split import SplitDecision, solve_offload_plan
-from ..runtime.processor import PlacementPlan
 from .model import EdgeKey, ServiceGraph
 
 #: cores granted to each default machine; graph meshes co-locate many

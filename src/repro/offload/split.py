@@ -34,11 +34,16 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.validate import ValidationVerdict, validate_rewrite
 from ..compiler.compiler import CompiledChain
-from ..control.placement import local_stages, switch_window_ok
+from ..control.placement import (
+    SWITCH_LOCATION,
+    PlacementPlan,
+    PlacementSegment,
+    local_stages,
+    switch_window_ok,
+)
 from ..dsl.schema import RpcSchema
 from ..lint.diagnostics import Diagnostic, Severity
 from ..platforms import Platform
-from ..runtime.processor import SWITCH_LOCATION, PlacementPlan, PlacementSegment
 from .device import DeviceProfile, check_capacity, device_profile_for
 
 #: offload tier name → (device platform, backend that must accept the

@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..control.placement import PlacementPlan, PlacementSegment
 from ..dsl.schema import FieldType, RpcSchema
 from ..dsl.stdlib import load_stdlib
 from ..graph.model import GraphBuilder
@@ -39,7 +40,6 @@ from ..overload.admission import AdmissionConfig
 from ..overload.sweep import drive_sweep_point
 from ..platforms import Platform
 from ..runtime.message import reset_rpc_ids
-from ..runtime.processor import PlacementPlan, PlacementSegment
 from ..sim.costmodel import CostModel
 from ..sim.engine import Simulator
 

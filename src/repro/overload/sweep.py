@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler.compiler import AdnCompiler
+from ..control.placement import PlacementPlan, PlacementSegment
 from ..dsl.ast_nodes import ChainDecl
 from ..dsl.functions import FunctionRegistry
 from ..dsl.schema import FieldType, RpcSchema
@@ -34,7 +35,6 @@ from ..platforms import Platform
 from ..runtime.filters import RetryPolicy
 from ..runtime.message import reset_rpc_ids
 from ..runtime.mrpc import AdnMrpcStack
-from ..runtime.processor import PlacementPlan, PlacementSegment
 from ..sim.cluster import two_machine_cluster
 from ..sim.costmodel import CostModel
 from ..sim.engine import Simulator

@@ -33,22 +33,13 @@ from .gateway import (
 )
 from .mrpc import AdnMrpcStack, default_plan
 from .telemetry import ProcessorReport, TelemetryCollector, TelemetryStore
-from .processor import (
-    SWITCH_LOCATION,
-    PlacementPlan,
-    PlacementSegment,
-    ProcessorRuntime,
-    SegmentResult,
-)
+from .processor import ProcessorRuntime, SegmentResult
 
 __all__ = [
     "AdnMrpcStack",
-    "PlacementPlan",
-    "PlacementSegment",
     "ProcessorRuntime",
     "RpcOutcome",
     "Row",
-    "SWITCH_LOCATION",
     "SegmentResult",
     "apply_filter",
     "apply_filters",

@@ -1,8 +1,9 @@
 """ADN processors: placed element groups executing on simulated resources.
 
-A :class:`PlacementSegment` is the controller's decision that a run of
-chain elements executes on one platform at one location (paper §5.3: "an
-ADN processor might only manage a portion of a processing graph"). The
+A :class:`~repro.control.placement.PlacementSegment` is the
+controller's decision that a run of chain elements executes on one
+platform at one location (paper §5.3: "an ADN processor might only
+manage a portion of a processing graph"). The
 :class:`ProcessorRuntime` executes that run — *functionally* (real
 element logic via the compiled Python modules, so drops, rewrites and
 state updates actually happen) while charging the platform's costs to
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..compiler.compiler import CompiledChain
+from ..control.placement import PlacementSegment
 from ..dsl.functions import FunctionRegistry
 from ..errors import PlacementError
 from ..overload import DEADLINE_EXPIRED, QUEUE_FULL
@@ -25,56 +27,6 @@ from ..sim.costmodel import CostModel
 from ..sim.engine import US, Event, Simulator
 from ..sim.resources import Resource
 from .message import Row
-
-#: machine name used for on-switch segments
-SWITCH_LOCATION = "switch"
-
-
-@dataclass
-class PlacementSegment:
-    """A contiguous run of chain elements on one platform/location."""
-
-    platform: Platform
-    machine: str  # machine name, or SWITCH_LOCATION
-    elements: Tuple[str, ...]
-    #: parallel stages local to this segment (subset of the chain's)
-    stages: Tuple[Tuple[str, ...], ...] = ()
-    #: number of replicated processor instances (Figure 2 config 4)
-    replicas: int = 1
-    #: bound on the processor's wait queue (repro.overload): RPCs
-    #: arriving past it are rejected explicitly (``QueueFull``) instead
-    #: of waiting forever; None keeps the legacy unbounded queue
-    queue_limit: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not self.stages:
-            self.stages = tuple((name,) for name in self.elements)
-
-
-@dataclass
-class PlacementPlan:
-    """The full realization of one chain across processors."""
-
-    segments: List[PlacementSegment]
-    #: "engine" (mRPC owns the wire) or "proxyless" (the RPC library
-    #: itself talks to the kernel), per side
-    client_transport: str = "engine"
-    server_transport: str = "engine"
-    description: str = ""
-    #: configuration epoch minted by the controller that solved this
-    #: plan; the data plane fences installs whose epoch is not strictly
-    #: newer than what it already runs (0 = legacy unfenced plan)
-    epoch: int = 0
-
-    def segments_on(self, machine: str) -> List[PlacementSegment]:
-        return [seg for seg in self.segments if seg.machine == machine]
-
-    def element_locations(self) -> Dict[str, Tuple[Platform, str]]:
-        return {
-            name: (segment.platform, segment.machine)
-            for segment in self.segments
-            for name in segment.elements
-        }
 
 
 @dataclass

@@ -1,27 +1,8 @@
-"""Element state: tables with snapshot, split, merge, and delta logs."""
+"""Element state: tables with snapshot, split, merge and delta logs
+(:mod:`.table`), live migration (:mod:`.migration`) and warm-standby
+checkpoints (:mod:`.checkpoint`).
 
-from .table import (
-    Delta,
-    Row,
-    SanitizerViolation,
-    StateSanitizer,
-    StateStore,
-    StateTable,
-)
-
-__all__ = [
-    "Delta",
-    "Row",
-    "SanitizerViolation",
-    "StateSanitizer",
-    "StateStore",
-    "StateTable",
-]
-
-from .migration import MigrationReport, MigrationTiming, Migrator
-
-__all__ += ["MigrationReport", "MigrationTiming", "Migrator"]
-
-from .checkpoint import Checkpointer, CheckpointTiming, RestoreReport
-
-__all__ += ["Checkpointer", "CheckpointTiming", "RestoreReport"]
+Import from the submodule. This package imports none of them, so the
+IR interpreter's tables load without the migration and checkpoint
+machinery.
+"""

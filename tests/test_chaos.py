@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.compiler.compiler import AdnCompiler
-from repro.control import ClusterSpec, PlacementRequest, solve_placement
+from repro.control.placement import ClusterSpec, PlacementRequest, solve_placement
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import ChainDecl
 from repro.ir.optimizer import OptimizerOptions

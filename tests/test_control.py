@@ -4,18 +4,16 @@ controller reconciliation, hot updates."""
 import pytest
 
 from repro.compiler.compiler import AdnCompiler
-from repro.control import (
+from repro.control.controller import AdnController
+from repro.control.k8s import (
     ADDED,
-    AdnController,
-    ClusterSpec,
     DELETED,
     KIND_ADN_CONFIG,
     KIND_DEPLOYMENT,
     MODIFIED,
     MiniKube,
-    PlacementRequest,
-    solve_placement,
 )
+from repro.control.placement import ClusterSpec, PlacementRequest, solve_placement
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import ChainDecl
 from repro.errors import ControlPlaneError, PlacementError
@@ -367,7 +365,7 @@ class TestControllerResilience:
         )
 
     def test_strategy_from_config(self):
-        from repro.control import ClusterSpec
+        from repro.control.placement import ClusterSpec
         from repro.platforms import Platform
 
         kube = MiniKube()

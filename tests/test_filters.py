@@ -5,7 +5,8 @@ data plane."""
 import pytest
 
 from repro.compiler.compiler import AdnCompiler
-from repro.control import AdnController, MiniKube
+from repro.control.controller import AdnController
+from repro.control.k8s import MiniKube
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import ChainDecl, FilterDef
 from repro.errors import RuntimeFault

@@ -6,7 +6,8 @@ import pytest
 
 from repro.compiler.compiler import AdnCompiler
 from repro.compiler.headers import guarantee_fields, plan_hop_headers
-from repro.control import AdnController, MiniKube
+from repro.control.controller import AdnController
+from repro.control.k8s import MiniKube
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import ChainDecl, GuaranteeDecl
 from repro.runtime import AdnMrpcStack

@@ -4,13 +4,9 @@ placement → simulated data plane) and the Figure 2 configurations."""
 import pytest
 
 from repro.compiler.compiler import AdnCompiler
-from repro.control import (
-    AdnController,
-    ClusterSpec,
-    MiniKube,
-    PlacementRequest,
-    solve_placement,
-)
+from repro.control.controller import AdnController
+from repro.control.k8s import MiniKube
+from repro.control.placement import ClusterSpec, PlacementRequest, solve_placement
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import ChainDecl
 from repro.platforms import Platform

@@ -4,7 +4,8 @@ client/server pair)."""
 
 import pytest
 
-from repro.control import AdnController, MiniKube
+from repro.control.controller import AdnController
+from repro.control.k8s import MiniKube
 from repro.dsl import FieldType, RpcSchema
 from repro.runtime.message import reset_rpc_ids
 from repro.sim import ClosedLoopClient, Simulator, two_machine_cluster

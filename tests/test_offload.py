@@ -9,6 +9,7 @@ import pytest
 
 from repro.compiler.backends import NicBackend, make_backends
 from repro.compiler.compiler import AdnCompiler
+from repro.control.placement import SWITCH_LOCATION
 from repro.dsl import (
     DEFAULT_REGISTRY,
     FieldType,
@@ -39,7 +40,6 @@ from repro.offload.device import (
     element_registers,
 )
 from repro.platforms import Platform
-from repro.runtime.processor import SWITCH_LOCATION
 
 SCHEMA = RpcSchema.of(
     "t", payload=FieldType.BYTES, username=FieldType.STR, obj_id=FieldType.INT

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.compiler import AdnCompiler
+from repro.control.placement import PlacementPlan, PlacementSegment
 from repro.control.scaling import Autoscaler, AutoscalerConfig
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import ChainDecl
@@ -37,11 +38,7 @@ from repro.platforms import Platform
 from repro.runtime import AdnMrpcStack
 from repro.runtime.filters import RetryPolicy, wrap_retry_policy
 from repro.runtime.message import RpcOutcome, make_request, reset_rpc_ids
-from repro.runtime.processor import (
-    PlacementPlan,
-    PlacementSegment,
-    ProcessorRuntime,
-)
+from repro.runtime.processor import ProcessorRuntime
 from repro.runtime.telemetry import TelemetryCollector
 from repro.sim import Simulator, two_machine_cluster
 from repro.sim.resources import Resource, Store

@@ -26,7 +26,7 @@ import pytest
 
 from repro.cli import _default_schema
 from repro.compiler.compiler import AdnCompiler
-from repro.control import ClusterSpec, PlacementRequest, solve_placement
+from repro.control.placement import ClusterSpec, PlacementRequest, solve_placement
 from repro.dsl import (
     FieldType,
     FunctionRegistry,

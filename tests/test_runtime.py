@@ -5,16 +5,11 @@ import random
 import pytest
 
 from repro.compiler.compiler import AdnCompiler
+from repro.control.placement import PlacementPlan, PlacementSegment
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import ChainDecl
 from repro.platforms import Platform
-from repro.runtime import (
-    AdnMrpcStack,
-    PlacementPlan,
-    PlacementSegment,
-    ProcessorRuntime,
-    default_plan,
-)
+from repro.runtime import AdnMrpcStack, ProcessorRuntime, default_plan
 from repro.runtime.filters import RetryPolicy
 from repro.runtime.message import (
     is_aborted,
@@ -363,7 +358,7 @@ class TestFusion:
         assert sorted(members) == sorted(plain_chain.element_order)
         # the fused element still places: the solver treats it as one
         # ordinary element
-        from repro.control import PlacementRequest, solve_placement
+        from repro.control.placement import PlacementRequest, solve_placement
 
         plan = solve_placement(
             PlacementRequest(chain=fused_chain, schema=SCHEMA)
