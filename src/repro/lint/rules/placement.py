@@ -34,7 +34,7 @@ statically, while the chain is being written.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ...compiler.backends import make_backends
 from ...platforms import Platform
@@ -66,19 +66,12 @@ def check_feasible_processor(context) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     backends = make_backends(context.registry)
     cluster = context.options.cluster
-    reports_cache: Dict[str, Dict[str, object]] = {}
     for name in context.own_elements:
         ir = context.irs.get(name)
         if ir is None:
             continue
-        reports = reports_cache.setdefault(
-            name,
-            {
-                backend_name: backend.check(ir)
-                for backend_name, backend in backends.items()
-            },
-        )
-        legal_platforms = []
+        # walk the platforms in order, asking a backend only when the
+        # walk reaches it; the refusals are read only if none accepts
         refusals: List[str] = []
         for platform in Platform:
             if not _platform_available(platform, cluster):
@@ -90,28 +83,24 @@ def check_feasible_processor(context) -> List[Diagnostic]:
                     "outside the app binary)"
                 )
                 continue
-            report = reports[platform.backend_name]
-            if not report.legal:
-                refusals.append(
-                    f"{platform.value}: {report.violations[0]}"
+            report = backends[platform.backend_name].check(ir)
+            if report.legal:
+                break
+            refusals.append(f"{platform.value}: {report.violations[0]}")
+        else:
+            out.append(
+                context.diag(
+                    "ADN401",
+                    Severity.ERROR,
+                    f"no feasible processor for element {name!r}: "
+                    + "; ".join(refusals),
+                    span=context.program.elements[name].span,
+                    element=name,
+                    fix="relax the element (drop 'mandatory', avoid "
+                    "payload/loop constructs) or enable a platform "
+                    "(engine, sidecars, kernel offload, SmartNIC, switch)",
                 )
-                continue
-            legal_platforms.append(platform)
-        if legal_platforms:
-            continue
-        out.append(
-            context.diag(
-                "ADN401",
-                Severity.ERROR,
-                f"no feasible processor for element {name!r}: "
-                + "; ".join(refusals),
-                span=context.program.elements[name].span,
-                element=name,
-                fix="relax the element (drop 'mandatory', avoid "
-                "payload/loop constructs) or enable a platform "
-                "(engine, sidecars, kernel offload, SmartNIC, switch)",
             )
-        )
     return out
 
 
