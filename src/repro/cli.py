@@ -36,10 +36,10 @@ from typing import List, Optional, Tuple
 
 from .compiler.compiler import AdnCompiler
 from .control.placement import ClusterSpec, PlacementRequest, solve_placement
-from .dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib, parse
+from .dsl import FieldType, FunctionRegistry, RpcSchema, parse
 from .dsl.ast_nodes import ChainDecl
 from .dsl.printer import print_program
-from .dsl.stdlib import validate_over_stdlib
+from .dsl.stdlib import load_stdlib_at_entries, validate_over_stdlib
 from .dsl.validator import validate_program
 from .errors import AdnError
 
@@ -471,7 +471,7 @@ def cmd_bench(args) -> int:
 
     schema = _schema_from_args(args.field)
     names = [name.strip() for name in args.chain.split(",") if name.strip()]
-    program = load_stdlib(schema=schema)
+    program = load_stdlib_at_entries(schema=schema)
     registry = FunctionRegistry()
     reset_rpc_ids()
     sim = Simulator()
@@ -814,7 +814,7 @@ def cmd_graph(args) -> int:
             else hotel_mesh_graph()
         )
         spec_diags = []
-    program = load_stdlib(schema=schema)
+    program = load_stdlib_at_entries(schema=schema)
     if graph is None:
         # the spec never became a graph; report ADN600 and stop — same
         # exit-code rule as every other path

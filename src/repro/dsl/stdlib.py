@@ -553,24 +553,44 @@ def validate_over_stdlib(
     except AdnError:
         # a stdlib element fails under this schema. The merged program's
         # first failing element, in its order, names the same first
-        # error as validating it whole; a stdlib element's error is told
-        # at its entry's own position
+        # error as validating it whole
         merged = load_stdlib().merged(own)
-        for name, element in merged.elements.items():
-            try:
-                validate_element(element, schema)
-            except DslValidationError as error:
-                if name in own.elements:
-                    raise
-                lines = stdlib_first_lines(*STDLIB_SOURCES)[name] - 1
-                raise DslValidationError(
-                    error.reason,
-                    error.line and error.line - lines,
-                    error.column,
-                    path=f"<stdlib:{name}>",
-                ) from error
+        _raise_first_element_error(merged, own, schema)
         return validate_program(merged, schema=schema)
     return validate_program(stdlib.merged(own), schema=schema, known=known)
+
+
+def load_stdlib_at_entries(schema: Optional[RpcSchema] = None) -> Program:
+    """``load_stdlib(schema=schema)``, except that when a stdlib element
+    fails under ``schema`` the first one's error names its entry and the
+    entry's own line, as :func:`validate_over_stdlib` tells it."""
+    try:
+        return load_stdlib(schema=schema)
+    except DslValidationError:
+        _raise_first_element_error(load_stdlib(), Program(), schema)
+        raise
+
+
+def _raise_first_element_error(
+    merged: Program, own: Program, schema: Optional[RpcSchema]
+) -> None:
+    """Validate ``merged``'s elements in its order, ``merged`` being the
+    whole stdlib with ``own`` merged over it, and raise the first error:
+    an element of ``own``'s as it is, a stdlib element's at its entry's
+    own line with ``path="<stdlib:NAME>"``."""
+    for name, element in merged.elements.items():
+        try:
+            validate_element(element, schema)
+        except DslValidationError as error:
+            if name in own.elements:
+                raise
+            lines = stdlib_first_lines(*STDLIB_SOURCES)[name] - 1
+            raise DslValidationError(
+                error.reason,
+                error.line and error.line - lines,
+                error.column,
+                path=f"<stdlib:{name}>",
+            ) from error
 
 
 def stdlib_loc(name: str) -> int:

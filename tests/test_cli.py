@@ -262,6 +262,12 @@ LOAD_PINS = [
      "<file>: error: app 'ExplainDemo': chain uses unknown element "
      "'Logging' (line 25, column 5)\n"),
     (("check", "--no-stdlib", "{overrides}"), 0, "687c480d1b9c0a8d", ""),
+    (("graph", "--check") + NARROW + ("examples/bookinfo.graph.json",), 1,
+     "", "<stdlib:LbKeyHash>: error: unknown input field 'obj_id' "
+     "(line 7, column 49)\n"),
+    (("bench", "--chain", "Acl") + NARROW, 1, "",
+     "<stdlib:LbKeyHash>: error: unknown input field 'obj_id' "
+     "(line 7, column 49)\n"),
 ]
 
 
@@ -269,7 +275,9 @@ class TestLoadOutcomes:
     """``check``, ``compile`` and ``compile --verify`` all read a file
     through ``_load``, which validates it over the stdlib: these pin
     what each prints and returns, above all which error comes first
-    when both the file and the stdlib fail under a schema."""
+    when both the file and the stdlib fail under a schema. ``graph``
+    and ``bench`` load the stdlib alone, and name a failing entry the
+    same way."""
 
     @staticmethod
     def canonical(text, path):
