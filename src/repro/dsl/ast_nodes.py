@@ -40,6 +40,15 @@ class Literal(Expr):
 
     value: object
 
+    def __eq__(self, other: object) -> bool:
+        # 1, True and 1.0 are equal in Python but not as literals; the
+        # tuples keep Python's identity shortcut, so a NaN equals itself
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (type(self.value), self.value) == (
+            type(other.value), other.value
+        )
+
 
 @dataclass(frozen=True)
 class ColumnRef(Expr):

@@ -298,6 +298,17 @@ class TestExpressions:
         assert self.parse_expr("null") == Literal(None)
         assert self.parse_expr("'s'") == Literal("s")
 
+    def test_literals_of_different_types_differ(self):
+        # equal in Python, but a rewrite between them changes what the
+        # element emits; the hash stays the value's, so no order moves
+        assert Literal(1) != Literal(True)
+        assert Literal(1) != Literal(1.0)
+        assert Literal(0) != Literal(False)
+        assert Literal(1) == Literal(1)
+        nan = float("nan")
+        assert Literal(nan) == Literal(nan)
+        assert hash(Literal(True)) == hash((True,))
+
     def test_single_equals_is_comparison(self):
         expr = self.parse_expr("a = 1")
         assert expr.op == "=="

@@ -13,6 +13,8 @@ from repro.cli import main
 from repro.compiler.compiler import AdnCompiler
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.ast_nodes import Literal
+from repro.dsl.parser import parse
+from repro.dsl.validator import validate_program
 from repro.errors import TranslationValidationError
 from repro.ir.analysis import analyze_element
 from repro.ir.builder import build_element_ir
@@ -137,6 +139,35 @@ class TestValidateRewrite:
         )
         assert verdict.ok is False
         assert "commute" in verdict.counterexample
+
+    def test_literal_of_another_type_is_not_identical(self, registry):
+        """``1`` and ``True`` are equal in Python but not as literals: the
+        rewritten element emits ``obj_id = True``."""
+        program = validate_program(
+            parse(
+                "element Stamp {\n"
+                "    on request { SELECT input.*, 1 AS obj_id FROM input; }\n"
+                "}\n"
+            ),
+            schema=SCHEMA,
+        )
+        before = build_element_ir(program.elements["Stamp"])
+        analyze_element(before, registry)
+        handler = before.handlers["request"]
+        (statement,) = handler.statements
+        scan, project, emit = statement.ops
+        (alias, one), = project.items
+        assert one == Literal(1)
+        project = dataclasses.replace(
+            project, items=((alias, dataclasses.replace(one, value=True)),)
+        )
+        statement = dataclasses.replace(statement, ops=(scan, project, emit))
+        after = dataclasses.replace(before, handlers={
+            "request": dataclasses.replace(handler, statements=(statement,)),
+        })
+        analyze_element(after, registry)
+        verdict = validate_rewrite([before], [after], SCHEMA, registry)
+        assert verdict.ok is False
 
     def test_bogus_stages_rejected(self, paper_chain, registry):
         verdict = validate_rewrite(
