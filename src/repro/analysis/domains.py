@@ -18,7 +18,7 @@ widening is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..dsl.schema import NUMERIC, FieldType, statically_comparable
 
@@ -43,9 +43,14 @@ class AbstractValue:
     def typed(
         field_type: FieldType, nullable: bool = False
     ) -> "AbstractValue":
-        return AbstractValue(
-            types=frozenset({field_type}), nullable=nullable
-        )
+        """The value of one type, one shared instance per pair (values
+        are frozen, so sharing is safe)."""
+        key = (field_type, nullable)
+        if key not in _TYPED:
+            _TYPED[key] = AbstractValue(
+                types=frozenset({field_type}), nullable=nullable
+            )
+        return _TYPED[key]
 
     @staticmethod
     def of_const(value: object) -> "AbstractValue":
@@ -107,6 +112,7 @@ class AbstractValue:
         return AbstractValue(types=self.types, nullable=self.nullable)
 
 
+_TYPED: Dict[Tuple[FieldType, bool], AbstractValue] = {}
 TOP = AbstractValue()
 NULL = AbstractValue.of_const(None)
 BOOL = AbstractValue.typed(FieldType.BOOL)

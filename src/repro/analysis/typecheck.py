@@ -76,6 +76,8 @@ from .domains import (
 #: Environment key: input field name, or (table, column) for joined rows.
 EnvKey = Union[str, Tuple[str, str]]
 Env = Dict[EnvKey, AbstractValue]
+#: table -> column -> abstract value of every state column of an element
+ColumnEnvs = Dict[str, Dict[str, AbstractValue]]
 
 _ORDERED_OPS = ("<", "<=", ">", ">=")
 _ARITH_OPS = ("+", "-", "*", "/", "%")
@@ -164,6 +166,7 @@ class _HandlerChecker:
         schema: Optional[RpcSchema],
         env_in: Env,
         maybe_absent: FrozenSet[str],
+        columns: ColumnEnvs,
     ):
         self.ir = ir
         self.kind = kind
@@ -174,7 +177,8 @@ class _HandlerChecker:
         self.maybe_absent = set(maybe_absent)
         self.findings: List[TypeFinding] = []
         self.stmt_span: Optional[Span] = None
-        self.columns = _column_envs(ir)
+        #: the element's state columns, shared by its checkers: read only
+        self.columns = columns
         self.vars = {
             decl.name: AbstractValue.typed(decl.type) for decl in ir.vars
         }
@@ -626,7 +630,9 @@ class _HandlerChecker:
                 types=frozenset({FieldType.INT}), nullable=False, lo=0.0
             )
         if name == "coalesce" and len(values) == 2:
-            merged = join(values[0], values[1])
+            # a NULL argument's value has no type: join the others
+            present = [v for v in values if not v.is_null] or values
+            merged = join(present[0], present[-1])
             nullable = values[0].nullable and values[1].nullable
             return AbstractValue(
                 types=merged.types,
@@ -698,7 +704,7 @@ def _join_envs(
     return merged, absent
 
 
-def _column_envs(ir: ElementIR) -> Dict[str, Dict[str, AbstractValue]]:
+def _column_envs(ir: ElementIR) -> ColumnEnvs:
     """Abstract value of every state column: declared type, nullable when
     some write can store NULL into it (syntactic approximation)."""
     nullable_cols = _nullable_columns(ir)
@@ -842,14 +848,15 @@ def check_element(
     base_env = dict(env_in) if env_in is not None else env_from_schema(schema)
     findings: List[TypeFinding] = []
     handlers: Dict[str, HandlerTypeReport] = {}
+    columns = _column_envs(ir)
     init_checker = _HandlerChecker(
-        ir, "init", registry, schema, base_env, frozenset()
+        ir, "init", registry, schema, base_env, frozenset(), columns
     )
     init_checker.check_init()
     findings.extend(init_checker.findings)
     for kind in ("request", "response"):
         checker = _HandlerChecker(
-            ir, kind, registry, schema, base_env, maybe_absent
+            ir, kind, registry, schema, base_env, maybe_absent, columns
         )
         report = checker.run()
         findings.extend(report.findings)
@@ -881,15 +888,20 @@ def check_chain(
         dict(env_in) if env_in is not None else env_from_schema(schema)
     )
     absent: FrozenSet[str] = frozenset(absent_in)
+    #: each checked element's state columns, for its response checker
+    columns: List[ColumnEnvs] = []
     for ir in elements:
+        columns.append(_column_envs(ir))
         init_checker = _HandlerChecker(
-            ir, "init", registry, schema, env or {}, frozenset()
+            ir, "init", registry, schema, env or {}, frozenset(), columns[-1]
         )
         init_checker.check_init()
         findings.extend(init_checker.findings)
         if env is None:
             break  # nothing ever reaches this far
-        checker = _HandlerChecker(ir, "request", registry, schema, env, absent)
+        checker = _HandlerChecker(
+            ir, "request", registry, schema, env, absent, columns[-1]
+        )
         report = checker.run()
         findings.extend(report.findings)
         env = report.env_out
@@ -900,11 +912,11 @@ def check_chain(
     response: Optional[Env] = (
         dict(request_env) if request_env is not None else None
     )
-    for ir in reversed(list(elements)):
+    for ir, ir_columns in reversed(list(zip(elements, columns))):
         if response is None:
             break
         checker = _HandlerChecker(
-            ir, "response", registry, schema, response, absent
+            ir, "response", registry, schema, response, absent, ir_columns
         )
         report = checker.run()
         findings.extend(report.findings)

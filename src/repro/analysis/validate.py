@@ -427,10 +427,11 @@ def _first_divergence(
     trace_after: List[object],
     messages: Sequence[Dict[str, object]],
 ) -> Optional[str]:
-    if trace_before == trace_after:
+    # repr, as for the exemplar messages: == calls 1, 1.0 and True equal
+    if repr(trace_before) == repr(trace_after):
         return None
     for a, b in zip(trace_before, trace_after):
-        if a == b:
+        if repr(a) == repr(b):
             continue
         if a[0] == "state" or b[0] == "state":
             return (

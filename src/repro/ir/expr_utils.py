@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, Iterator, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterator, Optional, Tuple
 
 from ..dsl.ast_nodes import (
     BinaryOp,
@@ -73,45 +73,58 @@ def walk(expr: Expr) -> Iterator[Expr]:
             yield from walk(expr.default)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExprRefs:
-    """References collected from an expression tree."""
+    """References collected from an expression tree, and its size."""
 
-    input_fields: Set[str] = field(default_factory=set)
-    table_columns: Set[Tuple[str, str]] = field(default_factory=set)
-    vars: Set[str] = field(default_factory=set)
-    functions: Set[str] = field(default_factory=set)
-    tables_counted: Set[str] = field(default_factory=set)
+    input_fields: FrozenSet[str] = frozenset()
+    table_columns: FrozenSet[Tuple[str, str]] = frozenset()
+    vars: FrozenSet[str] = frozenset()
+    functions: FrozenSet[str] = frozenset()
+    tables_counted: FrozenSet[str] = frozenset()
+    #: the nodes :func:`walk` yields
+    nodes: int = 0
 
-    def merge(self, other: "ExprRefs") -> "ExprRefs":
-        self.input_fields |= other.input_fields
-        self.table_columns |= other.table_columns
-        self.vars |= other.vars
-        self.functions |= other.functions
-        self.tables_counted |= other.tables_counted
-        return self
+
+_NO_REFS = ExprRefs()
 
 
 def collect_refs(expr: Optional[Expr]) -> ExprRefs:
-    """All input fields, state columns, vars, and functions referenced."""
-    refs = ExprRefs()
+    """All input fields, state columns, vars, and functions referenced.
+
+    Computed once per node and kept in the node's instance ``__dict__``:
+    a frozen node never changes, and dataclass eq, hash and repr read
+    only its fields. Keep nothing there that depends on more than the
+    node (a registry's costs, say)."""
     if expr is None:
-        return refs
-    for node in walk(expr):
-        if isinstance(node, ColumnRef):
-            if node.table in (None, "input"):
-                refs.input_fields.add(node.name)
-            else:
-                refs.table_columns.add((node.table, node.name))
-        elif isinstance(node, VarRef):
-            refs.vars.add(node.name)
-        elif isinstance(node, FuncCall):
-            refs.functions.add(node.name)
-            if node.name in TABLE_ARG_FUNCS:
-                first = node.args[0]
-                if isinstance(first, ColumnRef):
-                    refs.tables_counted.add(first.name)
+        return _NO_REFS
+    refs = expr.__dict__.get("_refs")
+    if refs is None:
+        refs = expr.__dict__["_refs"] = _walk_refs(expr)
     return refs
+
+
+def _walk_refs(expr: Expr) -> ExprRefs:
+    nodes = list(walk(expr))
+    columns = [node for node in nodes if isinstance(node, ColumnRef)]
+    calls = [node for node in nodes if isinstance(node, FuncCall)]
+    return ExprRefs(
+        frozenset(c.name for c in columns if c.table in (None, "input")),
+        frozenset(
+            (c.table, c.name)
+            for c in columns
+            if c.table not in (None, "input")
+        ),
+        frozenset(node.name for node in nodes if isinstance(node, VarRef)),
+        frozenset(call.name for call in calls),
+        frozenset(
+            call.args[0].name
+            for call in calls
+            if call.name in TABLE_ARG_FUNCS
+            and isinstance(call.args[0], ColumnRef)
+        ),
+        len(nodes),
+    )
 
 
 def references_table(expr: Optional[Expr], table: str) -> bool:
@@ -378,12 +391,10 @@ def _eval_binary(expr: BinaryOp, env: EvalEnv) -> object:
 
 def is_deterministic(expr: Optional[Expr], registry: FunctionRegistry) -> bool:
     """True when the expression has no nondeterministic function calls."""
-    if expr is None:
-        return True
-    for node in walk(expr):
-        if isinstance(node, FuncCall) and not registry.get(node.name).deterministic:
-            return False
-    return True
+    return all(
+        registry.get(name).deterministic
+        for name in collect_refs(expr).functions
+    )
 
 
 def expr_cost_us(expr: Optional[Expr], registry: FunctionRegistry) -> float:
@@ -403,6 +414,4 @@ def expr_cost_us(expr: Optional[Expr], registry: FunctionRegistry) -> float:
 
 def op_count(expr: Optional[Expr]) -> int:
     """Number of nodes in an expression tree (codegen size metric)."""
-    if expr is None:
-        return 0
-    return sum(1 for _ in walk(expr))
+    return collect_refs(expr).nodes

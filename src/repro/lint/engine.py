@@ -24,6 +24,7 @@ once, for its entry and every file chain that references it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from ..control.placement import ClusterSpec
@@ -201,6 +202,11 @@ class _Run:
         #: the line of the concatenated stdlib text each entry starts on
         self.first_lines = stdlib_first_lines(*STDLIB_SOURCES)
 
+    @cached_property
+    def parsed(self) -> Program:
+        """:func:`parsed_stdlib`, asked once per run (never mutate it)."""
+        return parsed_stdlib()
+
     def stdlib_element(
         self, name: str
     ) -> Optional[Tuple[ElementDef, ElementIR]]:
@@ -213,7 +219,7 @@ class _Run:
                     self.validated.elements[name]
                     if self.validated is not None
                     else validate_element(
-                        parsed_stdlib().elements[name],
+                        self.parsed.elements[name],
                         self.options.schema,
                         self.registry,
                     )
@@ -294,7 +300,7 @@ class _Run:
         entry's own text instead: its ADN102 message embeds the
         position."""
         path, source = f"<stdlib:{name}>", STDLIB_SOURCES[name]
-        parsed = parsed_stdlib()
+        parsed = self.parsed
         if name in parsed.elements:
             context = self.context(
                 path, source, Program(elements={name: parsed.elements[name]})

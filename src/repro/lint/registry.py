@@ -26,6 +26,8 @@ class Rule:
 
 
 _RULES: Dict[str, Rule] = {}
+#: ``_RULES`` by code, built-ins loaded; :func:`rule` empties it
+_SORTED: List[Rule] = []
 
 
 def rule(code: str, name: str, severity: Severity):
@@ -41,6 +43,7 @@ def rule(code: str, name: str, severity: Severity):
             doc=cleandoc(fn.__doc__ or "").strip(),
             check=fn,
         )
+        _SORTED.clear()
         return fn
 
     return decorator
@@ -48,8 +51,10 @@ def rule(code: str, name: str, severity: Severity):
 
 def all_rules() -> List[Rule]:
     """Every registered rule, sorted by code."""
-    _load_builtin_rules()
-    return [_RULES[code] for code in sorted(_RULES)]
+    if not _SORTED:
+        _load_builtin_rules()
+        _SORTED.extend(_RULES[code] for code in sorted(_RULES))
+    return list(_SORTED)
 
 
 def run_rules(

@@ -687,6 +687,112 @@ class TestWorkPerCall:
         assert not STDLIB_ELEMENTS & set(counts["validate"])
         assert counts["analyze"] == 0
 
+    @pytest.fixture
+    def facts(self, monkeypatch):
+        """Count the rule table's builds, stdlib joins and column
+        environments per call, and keep every expression node whose
+        references are built (alive, so their ids stay distinct)."""
+        import collections
+
+        from repro.analysis import typecheck
+        from repro.ir import expr_utils
+        from repro.lint import engine, registry
+
+        facts = collections.Counter()
+        facts.nodes = []
+        real_load = registry._load_builtin_rules
+        real_parsed = engine.parsed_stdlib
+        real_envs = typecheck._column_envs
+        real_element = typecheck.check_element
+        real_chain = typecheck.check_chain
+        real_walk = expr_utils._walk_refs
+
+        def counting_load():
+            facts["rule tables"] += 1
+            real_load()
+
+        def counting_parsed():
+            facts["stdlib joins"] += 1
+            return real_parsed()
+
+        def counting_envs(ir):
+            facts["column envs"] += 1
+            return real_envs(ir)
+
+        def counting_element(ir, *args, **kwargs):
+            facts["element checks"] += 1
+            return real_element(ir, *args, **kwargs)
+
+        def counting_chain(elements, *args, **kwargs):
+            facts["element checks"] += len(elements)
+            return real_chain(elements, *args, **kwargs)
+
+        def keeping_walk(expr):
+            facts.nodes.append(expr)
+            return real_walk(expr)
+
+        # a fresh table, as in a new process
+        monkeypatch.setattr(registry, "_SORTED", [])
+        monkeypatch.setattr(registry, "_load_builtin_rules", counting_load)
+        monkeypatch.setattr(engine, "parsed_stdlib", counting_parsed)
+        monkeypatch.setattr(typecheck, "_column_envs", counting_envs)
+        monkeypatch.setattr(typecheck, "check_element", counting_element)
+        monkeypatch.setattr(typecheck, "check_chain", counting_chain)
+        monkeypatch.setattr(expr_utils, "_walk_refs", keeping_walk)
+        return facts
+
+    @pytest.mark.parametrize("command", [
+        ["lint", "--stdlib"],
+        ["check", "--types", "--stdlib"],
+    ])
+    @pytest.mark.parametrize("path", [
+        "examples/explain_demo.adn",
+        "examples/lint_demo.adn",
+        "examples/typecheck_demo.adn",
+    ])
+    def test_each_fact_once(self, command, path, facts, capsys):
+        """The rule table is built once per process, the stdlib text
+        joined once per run, each element's column environments built
+        once per check, and each expression's references once."""
+        argv = command + ["--format", "json", path]
+        main(argv)
+        assert facts["rule tables"] == 1
+        assert facts["stdlib joins"] == 1
+        assert facts["element checks"] > 0
+        assert facts["column envs"] == facts["element checks"]
+        facts.clear()
+        main(argv)
+        assert facts["rule tables"] == 0
+        assert facts["stdlib joins"] == 1
+        assert facts["column envs"] == facts["element checks"]
+        assert len({id(node) for node in facts.nodes}) == len(facts.nodes)
+        assert capsys.readouterr().out
+
+    def test_typed_values_are_shared(self):
+        from repro.analysis import AbstractValue
+        from repro.dsl import FieldType
+
+        for field_type in FieldType:
+            for nullable in (False, True):
+                assert AbstractValue.typed(
+                    field_type, nullable
+                ) is AbstractValue.typed(field_type, nullable)
+
+    def test_expr_refs_reject_mutation(self):
+        """An expression's references are shared by every reader of its
+        node, so none may change them."""
+        import dataclasses
+
+        from repro.dsl.parser import Parser
+        from repro.ir.expr_utils import collect_refs
+
+        refs = collect_refs(Parser("input.a == 1").parse_expr())
+        assert refs.input_fields == {"a"}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            refs.input_fields = set()
+        with pytest.raises(AttributeError):
+            refs.input_fields.add("b")
+
     def test_lint_asks_no_restricted_backend(self, monkeypatch, capsys):
         """On the default cluster ADN401 stops at the first platform
         that accepts an element, the app binary or the engine, so it

@@ -57,12 +57,6 @@ class TestExprUtils:
         refs = collect_refs(None)
         assert refs.input_fields == set()
 
-    def test_refs_merge(self):
-        first = collect_refs(expr("input.a"))
-        second = collect_refs(expr("input.b"))
-        merged = first.merge(second)
-        assert merged.input_fields == {"a", "b"}
-
     def test_expr_cost_scales_with_size(self):
         registry = FunctionRegistry()
         small = expr_cost_us(expr("input.a"), registry)
@@ -75,6 +69,34 @@ class TestExprUtils:
         assert op_count(None) == 0
         assert op_count(expr("1")) == 1
         assert op_count(expr("1 + 2")) == 3
+
+    def test_refs_answer_as_a_walk_on_every_stdlib_expression(self):
+        """``op_count`` and ``is_deterministic`` read the refs kept on the
+        node; they must answer as a walk of the tree does, every time."""
+        from repro.dsl.ast_nodes import FuncCall
+        from repro.ir.expr_utils import walk
+        from repro.ir.nodes import statement_exprs
+
+        registry = FunctionRegistry()
+        checked = 0
+        for element in load_stdlib().elements.values():
+            ir = build_element_ir(element)
+            statements = list(ir.init)
+            for handler in ir.handlers.values():
+                statements.extend(handler.statements)
+            for stmt in statements:
+                for node in statement_exprs(stmt):
+                    nodes = list(walk(node))
+                    for _ in range(2):
+                        assert op_count(node) == len(nodes)
+                        assert is_deterministic(node, registry) == all(
+                            registry.get(n.name).deterministic
+                            for n in nodes
+                            if isinstance(n, FuncCall)
+                        )
+                    assert collect_refs(node) is collect_refs(node)
+                    checked += 1
+        assert checked > 40
 
     def test_is_deterministic(self):
         registry = FunctionRegistry()

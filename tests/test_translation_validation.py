@@ -99,6 +99,35 @@ class MutantPass(Pass):
         return PassOutcome(rewrites=1)
 
 
+def stamp_rewritten_to(value, registry):
+    """A one-element chain that stamps ``1 AS obj_id``, and the same
+    element with that literal's value replaced by ``value``."""
+    program = validate_program(
+        parse(
+            "element Stamp {\n"
+            "    on request { SELECT input.*, 1 AS obj_id FROM input; }\n"
+            "}\n"
+        ),
+        schema=SCHEMA,
+    )
+    before = build_element_ir(program.elements["Stamp"])
+    analyze_element(before, registry)
+    handler = before.handlers["request"]
+    (statement,) = handler.statements
+    scan, project, emit = statement.ops
+    (alias, one), = project.items
+    assert one == Literal(1)
+    project = dataclasses.replace(
+        project, items=((alias, dataclasses.replace(one, value=value)),)
+    )
+    statement = dataclasses.replace(statement, ops=(scan, project, emit))
+    after = dataclasses.replace(before, handlers={
+        "request": dataclasses.replace(handler, statements=(statement,)),
+    })
+    analyze_element(after, registry)
+    return before, after
+
+
 class TestValidateRewrite:
     def test_identical_chains_validate_structurally(
         self, paper_chain, registry
@@ -143,31 +172,22 @@ class TestValidateRewrite:
     def test_literal_of_another_type_is_not_identical(self, registry):
         """``1`` and ``True`` are equal in Python but not as literals: the
         rewritten element emits ``obj_id = True``."""
-        program = validate_program(
-            parse(
-                "element Stamp {\n"
-                "    on request { SELECT input.*, 1 AS obj_id FROM input; }\n"
-                "}\n"
-            ),
-            schema=SCHEMA,
-        )
-        before = build_element_ir(program.elements["Stamp"])
-        analyze_element(before, registry)
-        handler = before.handlers["request"]
-        (statement,) = handler.statements
-        scan, project, emit = statement.ops
-        (alias, one), = project.items
-        assert one == Literal(1)
-        project = dataclasses.replace(
-            project, items=((alias, dataclasses.replace(one, value=True)),)
-        )
-        statement = dataclasses.replace(statement, ops=(scan, project, emit))
-        after = dataclasses.replace(before, handlers={
-            "request": dataclasses.replace(handler, statements=(statement,)),
-        })
-        analyze_element(after, registry)
+        before, after = stamp_rewritten_to(True, registry)
         verdict = validate_rewrite([before], [after], SCHEMA, registry)
         assert verdict.ok is False
+
+    def test_replay_tells_int_from_float(self, registry):
+        """``1`` and ``1.0`` pass the abstract check (an int and a float
+        compare), so the replay must tell the emitted values apart."""
+        before, after = stamp_rewritten_to(1.0, registry)
+        verdict = validate_rewrite([before], [after], SCHEMA, registry)
+        assert verdict.ok is False
+        assert verdict.counterexample.startswith(
+            "request divergence on exemplar message"
+        )
+        before_text, after_text = verdict.counterexample.split(" after=")
+        assert "('obj_id', 1)" in before_text
+        assert "('obj_id', 1.0)" in after_text
 
     def test_bogus_stages_rejected(self, paper_chain, registry):
         verdict = validate_rewrite(

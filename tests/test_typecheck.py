@@ -185,6 +185,36 @@ class TestElementChecks:
         assert "NULL" in findings[0].message
 
 
+class TestCoalesce:
+    """A NULL argument's abstract value has no type, so ``coalesce`` takes
+    the type of its other arguments: comparing ``coalesce(NULL, 'a')``
+    with an int faults in both runtimes on every message."""
+
+    SOURCE = (
+        "element E {{\n"
+        "    on request {{ SELECT * FROM input WHERE {} == 1; }}\n"
+        "}}\n"
+    )
+
+    def test_checker_types_by_the_non_null_argument(self):
+        findings = element_findings(self.SOURCE.format("coalesce(NULL, 'a')"))
+        assert codes(findings) == ["ADN502"]
+        assert findings[0].message == (
+            "equality between str and int is always false"
+        )
+        assert findings[0].span.line == 2
+        assert element_findings(self.SOURCE.format("coalesce(NULL, 1)")) == []
+
+    def test_check_types_and_lint_report_it(self, tmp_path, capsys):
+        path = tmp_path / "coalesce.adn"
+        path.write_text(self.SOURCE.format("coalesce(NULL, 'a')"))
+        main(["check", "--types", "--format", "json", str(path)])
+        (finding,) = json.loads(capsys.readouterr().out)["typecheck"]
+        assert (finding["code"], finding["line"]) == ("ADN502", 2)
+        main(["lint", "--format", "json", str(path)])
+        (result,) = json.loads(capsys.readouterr().out)
+        assert [d["code"] for d in result["diagnostics"]] == ["ADN502"]
+
 class TestChainChecks:
     def build(self, source, names, registry):
         program = load_stdlib(schema=SCHEMA).merged(parse(source))
